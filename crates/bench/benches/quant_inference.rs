@@ -9,10 +9,9 @@
 //!   saturation reports are asserted bit-identical before any timing, so
 //!   a speedup can never come from computing different bits.
 //! * **Simulated batch rows** — Table 4 FC layers on the cycle-accurate
-//!   [`TieAccelerator`], batch 16: the seed path (per-batch float-trace
-//!   calibration + MAC-by-MAC PE-array walk, `run_batch_walk`) against
-//!   the fast path (one-shot load-time calibration + one `qmatmul` stage
-//!   GEMM per batch). Both report identical cycle/activity stats by
+//!   [`TieAccelerator`], batch 16: the MAC-by-MAC PE-array walk
+//!   (`run_batch_walk`) against the fast path (one `qmatmul` stage GEMM
+//!   per batch), both over one-shot load-time calibration. Both report identical cycle/activity stats by
 //!   construction (the differential suite proves it); the rows measure
 //!   the *host* simulation throughput.
 //!
@@ -26,7 +25,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tie_bench::report::{fnum, Report};
 use tie_quant::{qmatmul, qmatmul_naive, QFormat, QTensor};
-use tie_sim::{CalibrationMode, QuantConfig, TieAccelerator, TieConfig};
+use tie_sim::{TieAccelerator, TieConfig};
 use tie_tensor::{init, Tensor};
 use tie_tt::TtMatrix;
 use tie_workloads::benchmarks::table4_benchmarks;
@@ -87,9 +86,10 @@ fn measure_kernel(m: usize, k: usize, n: usize) -> (f64, f64) {
 
 /// Simulated batch-16 throughput of one Table 4 layer, before vs after.
 ///
-/// *Before*: per-batch calibration + the MAC-walk executor (the seed
-/// behavior). *After*: one-shot calibration + the batched stage-GEMM fast
-/// path (the default). Returns `(before, after)` in samples/second.
+/// *Before*: the MAC-walk executor (the seed behavior, minus its
+/// per-batch calibration, which no longer exists). *After*: the batched
+/// stage-GEMM fast path (the default). Both use one-shot load-time
+/// calibration. Returns `(before, after)` in samples/second.
 fn measure_sim(name: &str) -> (f64, f64) {
     let bench = table4_benchmarks()
         .into_iter()
@@ -107,14 +107,7 @@ fn measure_sim(name: &str) -> (f64, f64) {
         working_sram_bytes: 8 * 1024 * 1024,
         ..TieConfig::default()
     };
-    let before_cfg = TieConfig {
-        quant: QuantConfig {
-            calibration: CalibrationMode::PerBatch,
-            ..QuantConfig::default()
-        },
-        ..base_cfg
-    };
-    let mut before_tie = TieAccelerator::new(before_cfg).unwrap();
+    let mut before_tie = TieAccelerator::new(base_cfg).unwrap();
     let before_layer = before_tie.load_layer(matrix.clone()).unwrap();
     let mut before = Vec::with_capacity(WALK_REPS);
     for _ in 0..WALK_REPS {
@@ -165,12 +158,11 @@ fn bench(c: &mut Criterion) {
 fn write_json() {
     let mut report = Report::new(
         "BENCH_quant",
-        "Quantized path: SIMD kernel vs naive, one-shot + batched sim vs seed path",
+        "Quantized path: SIMD kernel vs naive, batched sim vs MAC walk",
         "not a paper figure — acceptance evidence for the quantized-path PR \
          (vectorized qmatmul must beat the naive reference bit-identically; \
-         one-shot calibration + batched stage GEMMs must lift simulated \
-         FC batch-16 throughput at least 4x over the per-batch-calibrated \
-         MAC-walk seed path)",
+         batched stage GEMMs must lift simulated FC batch-16 throughput over \
+         the MAC walk, both one-shot calibrated)",
     );
     report.headers(["workload", "before", "after", "speedup", "unit"]);
 
@@ -191,7 +183,7 @@ fn write_json() {
             fnum(before_sps),
             fnum(after_sps),
             fnum(after_sps / before_sps),
-            "samples/s (seed -> fast path)".to_string(),
+            "samples/s (walk -> fast path)".to_string(),
         ]);
     }
 
@@ -204,11 +196,11 @@ fn write_json() {
          fit (memory provisioning, identical before/after)"
     ));
     report.note(
-        "before = CalibrationMode::PerBatch + run_batch_walk (the seed \
-         behavior: float traces every batch, MAC-by-MAC PE walk); after = \
-         CalibrationMode::OneShot + run_batch (load-time probe calibration, \
-         one qmatmul stage GEMM per batch); both produce identical RunStats \
-         activity counts (differential suite)",
+        "before = run_batch_walk (the seed's MAC-by-MAC PE walk; its \
+         per-batch float-trace calibration was removed, so this baseline no \
+         longer includes that cost); after = run_batch (one qmatmul stage \
+         GEMM per batch); both calibrate once at load time and produce \
+         identical RunStats activity counts (differential suite)",
     );
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     report.save_json(&root).expect("write BENCH_quant.json");

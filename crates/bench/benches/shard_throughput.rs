@@ -47,7 +47,7 @@ fn build_layers() -> Vec<(String, std::sync::Arc<CompactEngine<f64>>)> {
 fn registry_of(layers: &[(String, std::sync::Arc<CompactEngine<f64>>)]) -> EngineRegistry {
     let mut registry = EngineRegistry::new();
     for (name, engine) in layers {
-        registry.insert_shared(name.clone(), std::sync::Arc::clone(engine));
+        registry.insert(name.clone(), std::sync::Arc::clone(engine));
     }
     registry
 }

@@ -87,7 +87,7 @@ impl Batcher {
 
     fn dispatch(&mut self, layer: &str, cause: DispatchCause) {
         if let Some(lane) = self.lanes.remove(layer) {
-            self.stats.record_batch(lane.requests.len(), cause);
+            self.stats.record_dispatch(lane.requests.len(), cause);
             // A failed send (worker channel torn down) drops the batch;
             // each Request's Drop then answers ShuttingDown, so no caller
             // hangs.

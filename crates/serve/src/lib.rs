@@ -12,19 +12,23 @@
 //! This crate is a self-contained serving layer on `std` threads and
 //! bounded channels — no external dependencies:
 //!
-//! * [`EngineRegistry`] — prepared engines keyed by layer name, shared via
-//!   `Arc`. Three backends coexist: float `CompactEngine`s
-//!   ([`EngineRegistry::insert`]), bit-accurate fixed-point
-//!   [`tie_sim::QuantizedEngine`]s
-//!   ([`EngineRegistry::insert_quantized`]), and pipeline-parallel
-//!   [`tie_sim::PipelinedEngine`]s wrapping either datapath
-//!   ([`EngineRegistry::insert_pipelined`]) — clients submit the same
-//!   `f64` requests every way, quantized batches feed the `quant_*`
-//!   saturation counters in [`ServiceStats`]
-//!   (see [`ServiceStats::quant_saturation_rate`]), and pipelined batches
-//!   feed the `pipeline_*` occupancy/stall/handoff counters (see
-//!   [`ServiceStats::pipeline_stall_fraction`]; the books reconcile
-//!   exactly: `pipeline_stage_chunks == pipeline_chunks +
+//! * [`Engine`] — one served layer, whichever backend prepared it: a
+//!   float `CompactEngine`, a bit-accurate fixed-point
+//!   [`tie_sim::QuantizedEngine`], or a pipeline-parallel
+//!   [`tie_sim::PipelinedEngine`] wrapping either datapath. One batched
+//!   [`Engine::run`] returns a [`BatchReport`] for the service counters.
+//! * [`EngineRegistry`] — one map of engines keyed by layer name, shared
+//!   via `Arc`, with two ways to register: [`EngineRegistry::insert`]
+//!   (any engine, owned or shared; fuse an activation first with the
+//!   engine's `with_activation`) and [`EngineRegistry::insert_from_plan`]
+//!   (the autotuner's deployment plan). Clients submit the same `f64`
+//!   requests to every backend; [`EngineRegistry::check_request`] rejects
+//!   unknown layers, wrong lengths and non-finite inputs before queueing.
+//!   Quantized batches feed the `quant_*` saturation counters in
+//!   [`ServiceStats`] (see [`ServiceStats::quant_saturation_rate`]), and
+//!   pipelined batches feed the `pipeline_*` occupancy/stall/handoff
+//!   counters (see [`ServiceStats::pipeline_stall_fraction`]; the books
+//!   reconcile exactly: `pipeline_stage_chunks == pipeline_chunks +
 //!   pipeline_handoffs`).
 //! * [`InferenceService`] — owns a batcher thread and a worker pool sized
 //!   by [`tie_tensor::parallel`] (workers hold private engine clones, so
@@ -76,6 +80,7 @@
 
 mod batcher;
 mod config;
+mod engine;
 mod error;
 mod registry;
 mod request;
@@ -86,6 +91,7 @@ mod stats;
 mod worker;
 
 pub use config::{ServeConfig, ShardConfig};
+pub use engine::{BatchReport, Engine};
 pub use error::ServeError;
 pub use registry::EngineRegistry;
 pub use request::{Response, Ticket};

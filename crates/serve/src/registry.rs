@@ -1,25 +1,25 @@
 //! The shared engine registry: prepared engines keyed by layer name.
 //!
-//! Three backends coexist under one namespace: float [`CompactEngine`]s,
-//! bit-accurate fixed-point [`QuantizedEngine`]s, and pipeline-parallel
-//! [`PipelinedEngine`]s (which wrap either datapath) — a name maps to
-//! exactly one of the three, and clients neither know nor care which
-//! (same submit API, same `f64` responses; the quantized backends feed
-//! the saturation counters in [`crate::ServiceStats`], the pipelined one
-//! additionally feeds the `pipeline_*` occupancy/stall/handoff counters).
+//! One map from layer name to [`Engine`], whatever the backend: a name
+//! maps to exactly one engine, and clients neither know nor care which
+//! datapath serves it (same submit API, same `f64` responses; the
+//! quantized and pipelined backends feed their extra counters in
+//! [`crate::ServiceStats`]). There are two ways to register a layer:
+//! [`EngineRegistry::insert`] takes any engine (or a shared `Arc` of
+//! one), and [`EngineRegistry::insert_from_plan`] builds one from the
+//! autotuner's [`DeploymentPlan`]. A fused activation is part of the
+//! engine (`engine.with_activation(a)`), not of the registration.
 //!
 //! Engines are stored behind [`Arc`] so the service, every client handle,
-//! and every worker can hold the same prepared layer without copying the
-//! unfolded cores or index maps. Both engine types are `Send + Sync`
-//! (audited in their crates): the only mutable state is a `Mutex`-guarded
-//! scratch workspace. Workers that want contention-free scratch clone the
-//! engine (a clone shares nothing mutable — it starts with a fresh
-//! workspace).
+//! and every partition hold the same prepared layer without copying the
+//! unfolded cores or index maps; workers execute on private clones
+//! ([`Engine::private_clone`]).
 
-use crate::worker::WorkerEngine;
+use crate::engine::Engine;
+use crate::error::ServeError;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tie_core::{Activation, CompactEngine, DeploymentPlan, PipelineConfig, PlanBackend, Result};
+use tie_core::{CompactEngine, DeploymentPlan, PipelineConfig, PlanBackend, Result};
 use tie_sim::{PipelinedEngine, QuantConfig, QuantizedEngine};
 use tie_tensor::TensorError;
 use tie_tt::TtMatrix;
@@ -32,9 +32,7 @@ use tie_tt::TtMatrix;
 /// own registry value over the same shared engines.
 #[derive(Debug, Default, Clone)]
 pub struct EngineRegistry {
-    engines: HashMap<String, Arc<CompactEngine<f64>>>,
-    quantized: HashMap<String, Arc<QuantizedEngine>>,
-    pipelined: HashMap<String, Arc<PipelinedEngine>>,
+    engines: HashMap<String, Engine>,
 }
 
 impl EngineRegistry {
@@ -44,101 +42,13 @@ impl EngineRegistry {
         Self::default()
     }
 
-    /// Registers a float `engine` under `name`, replacing any previous
-    /// entry (of either backend) with that name. Returns `self` for
+    /// Registers `engine` under `name`, replacing any previous entry with
+    /// that name. Takes any backend, owned or already shared:
+    /// `CompactEngine<f64>`, `QuantizedEngine`, `PipelinedEngine`, an
+    /// `Arc` of any of them, or an [`Engine`]. Returns `self` for
     /// chaining.
-    pub fn insert(&mut self, name: impl Into<String>, engine: CompactEngine<f64>) -> &mut Self {
-        self.insert_shared(name, Arc::new(engine))
-    }
-
-    /// Registers a float `engine` under `name` with `activation` fused
-    /// into its final-stage GEMM epilogue (so served responses come back
-    /// post-activation without a separate output pass). Equivalent to
-    /// `insert(name, engine.with_activation(activation))`.
-    pub fn insert_with_activation(
-        &mut self,
-        name: impl Into<String>,
-        engine: CompactEngine<f64>,
-        activation: Activation,
-    ) -> &mut Self {
-        self.insert(name, engine.with_activation(activation))
-    }
-
-    /// Registers an already-shared float engine under `name`.
-    pub fn insert_shared(
-        &mut self,
-        name: impl Into<String>,
-        engine: Arc<CompactEngine<f64>>,
-    ) -> &mut Self {
-        let name = name.into();
-        self.quantized.remove(&name);
-        self.pipelined.remove(&name);
-        self.engines.insert(name, engine);
-        self
-    }
-
-    /// Registers a fixed-point `engine` under `name`, replacing any
-    /// previous entry (of either backend) with that name. Requests to this
-    /// layer run the bit-accurate TIE datapath and feed the
-    /// `quant_*` counters in [`crate::ServiceStats`].
-    pub fn insert_quantized(
-        &mut self,
-        name: impl Into<String>,
-        engine: QuantizedEngine,
-    ) -> &mut Self {
-        self.insert_quantized_shared(name, Arc::new(engine))
-    }
-
-    /// Registers a fixed-point `engine` under `name` with `activation`
-    /// fused into its final requantization epilogue (applied to the
-    /// clipped 32-bit code before narrowing; saturation counters are
-    /// unchanged). Equivalent to
-    /// `insert_quantized(name, engine.with_activation(activation))`.
-    pub fn insert_quantized_with_activation(
-        &mut self,
-        name: impl Into<String>,
-        engine: QuantizedEngine,
-        activation: Activation,
-    ) -> &mut Self {
-        self.insert_quantized(name, engine.with_activation(activation))
-    }
-
-    /// Registers an already-shared fixed-point engine under `name`.
-    pub fn insert_quantized_shared(
-        &mut self,
-        name: impl Into<String>,
-        engine: Arc<QuantizedEngine>,
-    ) -> &mut Self {
-        let name = name.into();
-        self.engines.remove(&name);
-        self.pipelined.remove(&name);
-        self.quantized.insert(name, engine);
-        self
-    }
-
-    /// Registers a pipeline-parallel `engine` under `name`, replacing any
-    /// previous entry (of any backend) with that name. Requests to this
-    /// layer stream through the engine's stage pipeline and feed the
-    /// `pipeline_*` counters in [`crate::ServiceStats`] (plus the
-    /// `quant_*` counters when the wrapped datapath is quantized).
-    pub fn insert_pipelined(
-        &mut self,
-        name: impl Into<String>,
-        engine: PipelinedEngine,
-    ) -> &mut Self {
-        self.insert_pipelined_shared(name, Arc::new(engine))
-    }
-
-    /// Registers an already-shared pipeline-parallel engine under `name`.
-    pub fn insert_pipelined_shared(
-        &mut self,
-        name: impl Into<String>,
-        engine: Arc<PipelinedEngine>,
-    ) -> &mut Self {
-        let name = name.into();
-        self.engines.remove(&name);
-        self.quantized.remove(&name);
-        self.pipelined.insert(name, engine);
+    pub fn insert(&mut self, name: impl Into<String>, engine: impl Into<Engine>) -> &mut Self {
+        self.engines.insert(name.into(), engine.into());
         self
     }
 
@@ -181,14 +91,13 @@ impl EngineRegistry {
             depth: plan.pipeline_depth,
             micro_batch: plan.micro_batch,
         };
-        match plan.backend {
+        let engine: Engine = match plan.backend {
             PlanBackend::Float => {
                 let engine = CompactEngine::new(matrix)?.with_activation(plan.activation);
                 if plan.is_pipelined() {
-                    let wrapped = PipelinedEngine::float(&engine, pipe)?;
-                    Ok(self.insert_pipelined(plan.layer.clone(), wrapped))
+                    PipelinedEngine::float(&engine, pipe)?.into()
                 } else {
-                    Ok(self.insert(plan.layer.clone(), engine))
+                    engine.into()
                 }
             }
             PlanBackend::Quantized => {
@@ -196,102 +105,101 @@ impl EngineRegistry {
                     QuantizedEngine::new(matrix, quant.with_probe_margin(plan.quant_margin))?
                         .with_activation(plan.activation);
                 if plan.is_pipelined() {
-                    let wrapped = PipelinedEngine::quantized(&engine, pipe)?;
-                    Ok(self.insert_pipelined(plan.layer.clone(), wrapped))
+                    PipelinedEngine::quantized(&engine, pipe)?.into()
                 } else {
-                    Ok(self.insert_quantized(plan.layer.clone(), engine))
+                    engine.into()
                 }
             }
-        }
+        };
+        Ok(self.insert(plan.layer.clone(), engine))
+    }
+
+    /// The engine registered under `name`, any backend.
+    #[must_use]
+    pub fn engine(&self, name: &str) -> Option<&Engine> {
+        self.engines.get(name)
     }
 
     /// The shared float engine registered under `name` (`None` if the name
-    /// is unregistered or quantized).
+    /// is unregistered or served by another backend).
     #[must_use]
     pub fn get(&self, name: &str) -> Option<Arc<CompactEngine<f64>>> {
-        self.engines.get(name).cloned()
+        match self.engines.get(name)? {
+            Engine::Float(e) => Some(Arc::clone(e)),
+            _ => None,
+        }
     }
 
     /// The shared fixed-point engine registered under `name` (`None` if
-    /// the name is unregistered or float).
+    /// the name is unregistered or served by another backend).
     #[must_use]
     pub fn get_quantized(&self, name: &str) -> Option<Arc<QuantizedEngine>> {
-        self.quantized.get(name).cloned()
+        match self.engines.get(name)? {
+            Engine::Quantized(e) => Some(Arc::clone(e)),
+            _ => None,
+        }
     }
 
     /// The shared pipeline-parallel engine registered under `name`
-    /// (`None` if the name is unregistered or sequential).
+    /// (`None` if the name is unregistered or served sequentially).
     #[must_use]
     pub fn get_pipelined(&self, name: &str) -> Option<Arc<PipelinedEngine>> {
-        self.pipelined.get(name).cloned()
+        match self.engines.get(name)? {
+            Engine::Pipelined(e) => Some(Arc::clone(e)),
+            _ => None,
+        }
     }
 
-    /// True if `name` is registered with the fixed-point backend (either
-    /// the sequential quantized engine or a pipelined wrapper around one).
-    #[must_use]
-    pub fn is_quantized(&self, name: &str) -> bool {
-        self.quantized.contains_key(name)
-            || self.pipelined.get(name).is_some_and(|e| e.is_quantized())
-    }
-
-    /// True if `name` is registered with the pipeline-parallel backend.
-    #[must_use]
-    pub fn is_pipelined(&self, name: &str) -> bool {
-        self.pipelined.contains_key(name)
-    }
-
-    /// `(rows M, cols N)` of the layer registered under `name`, either
-    /// backend.
+    /// `(rows M, cols N)` of the layer registered under `name`.
     #[must_use]
     pub fn dims(&self, name: &str) -> Option<(usize, usize)> {
-        if let Some(e) = self.engines.get(name) {
-            return Some((e.matrix().shape().num_rows(), e.matrix().shape().num_cols()));
-        }
-        if let Some(e) = self.quantized.get(name) {
-            return Some((e.num_rows(), e.num_cols()));
-        }
-        self.pipelined
-            .get(name)
-            .map(|e| (e.num_rows(), e.num_cols()))
+        self.engines.get(name).map(Engine::dims)
     }
 
-    /// All registered layer names (every backend), sorted.
+    /// The submit-time request check every client runs before queueing:
+    /// `layer` must be registered, and `input` must have the layer's `N`
+    /// elements, all finite. A NaN or ±∞ would otherwise reach the
+    /// fixed-point datapath, whose quantizer maps NaN to 0 silently and
+    /// reports no saturation.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownLayer`], [`ServeError::WrongInputLength`], or
+    /// [`ServeError::NonFiniteInput`] naming the first offending element.
+    pub fn check_request(&self, layer: &str, input: &[f64]) -> std::result::Result<(), ServeError> {
+        let (_m, n) = self
+            .dims(layer)
+            .ok_or_else(|| ServeError::UnknownLayer(layer.to_string()))?;
+        if input.len() != n {
+            return Err(ServeError::WrongInputLength {
+                got: input.len(),
+                want: n,
+            });
+        }
+        match input.iter().position(|v| !v.is_finite()) {
+            Some(index) => Err(ServeError::NonFiniteInput { index }),
+            None => Ok(()),
+        }
+    }
+
+    /// All registered layer names, sorted.
     #[must_use]
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .engines
-            .keys()
-            .chain(self.quantized.keys())
-            .chain(self.pipelined.keys())
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = self.engines.keys().cloned().collect();
         names.sort();
         names
     }
 
-    /// Number of registered layers (every backend).
+    /// Number of registered layers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.engines.len() + self.quantized.len() + self.pipelined.len()
+        self.engines.len()
     }
 
     /// True if no layer is registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.engines.is_empty() && self.quantized.is_empty() && self.pipelined.is_empty()
-    }
-
-    /// One private (fresh-workspace) clone of every float engine, for a
-    /// worker that wants to execute without contending on the shared
-    /// scratch `Mutex`. TT compression is what makes this affordable: a
-    /// cloned engine costs `num_params` weights plus the index vectors,
-    /// orders of magnitude below the dense layer it represents.
-    #[must_use]
-    pub fn clone_engines(&self) -> HashMap<String, CompactEngine<f64>> {
-        self.engines
-            .iter()
-            .map(|(name, e)| (name.clone(), (**e).clone()))
-            .collect()
+        self.engines.is_empty()
     }
 
     /// Partitions the registry into `parts` sub-registries by routing
@@ -311,37 +219,20 @@ impl EngineRegistry {
         let mut parts: Vec<EngineRegistry> =
             (0..=max_shard).map(|_| EngineRegistry::new()).collect();
         for (name, engine) in &self.engines {
-            parts[ring.shard_for(name)].insert_shared(name.clone(), Arc::clone(engine));
-        }
-        for (name, engine) in &self.quantized {
-            parts[ring.shard_for(name)].insert_quantized_shared(name.clone(), Arc::clone(engine));
-        }
-        for (name, engine) in &self.pipelined {
-            parts[ring.shard_for(name)].insert_pipelined_shared(name.clone(), Arc::clone(engine));
+            parts[ring.shard_for(name)].insert(name.clone(), engine.clone());
         }
         parts
     }
 
-    /// Private clones of **every** engine, all backends, wrapped for the
-    /// worker loop. A pipelined clone spawns its own `depth − 1` stage
-    /// threads and channel slabs (sharing the immutable chain), so each
-    /// worker streams its batches through a private pipeline with no
-    /// cross-worker contention.
+    /// A private clone ([`Engine::private_clone`]) of every engine, for
+    /// one worker: execution then never contends on a shared scratch
+    /// workspace, and each pipelined layer streams through the worker's
+    /// own stage threads.
     #[must_use]
-    pub(crate) fn worker_engines(&self) -> HashMap<String, WorkerEngine> {
+    pub(crate) fn worker_engines(&self) -> HashMap<String, Engine> {
         self.engines
             .iter()
-            .map(|(name, e)| (name.clone(), WorkerEngine::Float((**e).clone())))
-            .chain(
-                self.quantized
-                    .iter()
-                    .map(|(name, e)| (name.clone(), WorkerEngine::Quantized((**e).clone()))),
-            )
-            .chain(
-                self.pipelined
-                    .iter()
-                    .map(|(name, e)| (name.clone(), WorkerEngine::Pipelined((**e).clone()))),
-            )
+            .map(|(name, e)| (name.clone(), e.private_clone()))
             .collect()
     }
 }
@@ -349,14 +240,24 @@ impl EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HashRing;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use tie_core::Activation;
     use tie_tt::{TtMatrix, TtShape};
 
-    fn engine(seed: u64) -> CompactEngine<f64> {
+    fn matrix(seed: u64) -> TtMatrix<f64> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let shape = TtShape::uniform_rank(vec![2, 3], vec![3, 2], 2).unwrap();
-        CompactEngine::new(TtMatrix::random(&mut rng, &shape, 0.5).unwrap()).unwrap()
+        TtMatrix::random(&mut rng, &shape, 0.5).unwrap()
+    }
+
+    fn engine(seed: u64) -> CompactEngine<f64> {
+        CompactEngine::new(matrix(seed)).unwrap()
+    }
+
+    fn quantized(seed: u64) -> QuantizedEngine {
+        QuantizedEngine::new(matrix(seed), QuantConfig::default()).unwrap()
     }
 
     #[test]
@@ -376,74 +277,67 @@ mod tests {
     fn shared_engine_is_the_same_allocation() {
         let mut reg = EngineRegistry::new();
         let shared = Arc::new(engine(3));
-        reg.insert_shared("fc", Arc::clone(&shared));
+        reg.insert("fc", Arc::clone(&shared));
         assert!(Arc::ptr_eq(&reg.get("fc").unwrap(), &shared));
     }
 
-    #[test]
-    fn quantized_and_float_share_one_namespace() {
-        use tie_sim::QuantConfig;
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let shape = TtShape::uniform_rank(vec![2, 3], vec![3, 2], 2).unwrap();
-        let q = QuantizedEngine::new(
-            TtMatrix::random(&mut rng, &shape, 0.5).unwrap(),
-            QuantConfig::default(),
-        )
-        .unwrap();
-        let mut reg = EngineRegistry::new();
-        reg.insert("fc", engine(10))
-            .insert_quantized("qfc", q.clone());
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.names(), vec!["fc".to_string(), "qfc".to_string()]);
-        assert_eq!(reg.dims("qfc"), Some((6, 6)));
-        assert!(reg.is_quantized("qfc") && !reg.is_quantized("fc"));
-        assert!(reg.get_quantized("qfc").is_some() && reg.get("qfc").is_none());
-        // Re-registering a name under the other backend replaces it.
-        reg.insert_quantized("fc", q);
-        assert_eq!(reg.len(), 2);
-        assert!(reg.is_quantized("fc") && reg.get("fc").is_none());
-        assert_eq!(reg.worker_engines().len(), 2);
-        assert_eq!(reg.clone_engines().len(), 0); // float-only view
+    /// The shared allocation behind an engine, as a thin pointer.
+    fn addr(engine: &Engine) -> *const () {
+        match engine {
+            Engine::Float(e) => Arc::as_ptr(e).cast(),
+            Engine::Quantized(e) => Arc::as_ptr(e).cast(),
+            Engine::Pipelined(e) => Arc::as_ptr(e).cast(),
+        }
+    }
+
+    /// Which typed getter sees `name`: `[get, get_quantized, get_pipelined]`.
+    fn typed(reg: &EngineRegistry, name: &str) -> [bool; 3] {
+        [
+            reg.get(name).is_some(),
+            reg.get_quantized(name).is_some(),
+            reg.get_pipelined(name).is_some(),
+        ]
     }
 
     #[test]
-    fn pipelined_engines_share_the_namespace_and_partition() {
-        use crate::HashRing;
-        use tie_core::PipelineConfig;
-        use tie_sim::PipelinedEngine;
-        let float = engine(20);
-        let pipelined = PipelinedEngine::float(&float, PipelineConfig::default()).unwrap();
-        let mut reg = EngineRegistry::new();
-        reg.insert("fc", engine(21))
-            .insert_pipelined("pfc", pipelined.clone());
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.names(), vec!["fc".to_string(), "pfc".to_string()]);
-        assert_eq!(reg.dims("pfc"), Some((6, 6)));
-        assert!(reg.is_pipelined("pfc") && !reg.is_pipelined("fc"));
-        assert!(!reg.is_quantized("pfc"), "float pipeline is not quantized");
-        assert!(reg.get_pipelined("pfc").is_some() && reg.get("pfc").is_none());
-        // Re-registering a pipelined name as float replaces it.
-        reg.insert("pfc", engine(22));
-        assert_eq!(reg.len(), 2);
-        assert!(!reg.is_pipelined("pfc") && reg.get("pfc").is_some());
-        // And the other direction.
-        reg.insert_pipelined("fc", pipelined);
-        assert!(reg.is_pipelined("fc"));
-        assert_eq!(reg.worker_engines().len(), 2);
-        // Partitioning carries pipelined layers to their ring shards.
+    fn every_backend_shares_one_namespace_and_partition() {
+        let pipelined =
+            PipelinedEngine::float(&engine(20), tie_core::PipelineConfig::default()).unwrap();
+        let backends: [(Engine, [bool; 3]); 3] = [
+            (engine(21).into(), [true, false, false]),
+            (quantized(22).into(), [false, true, false]),
+            (pipelined.into(), [false, false, true]),
+        ];
         let ring = HashRing::new(3, 32).unwrap();
-        let parts = reg.partition(&ring);
-        assert_eq!(parts.iter().map(EngineRegistry::len).sum::<usize>(), 2);
-        let owner = &parts[ring.shard_for("fc")];
-        assert!(Arc::ptr_eq(
-            &owner.get_pipelined("fc").unwrap(),
-            &reg.get_pipelined("fc").unwrap()
-        ));
+        for (backend, getters) in &backends {
+            let mut reg = EngineRegistry::new();
+            reg.insert("other", engine(23))
+                .insert("layer", backend.clone());
+            assert_eq!(reg.len(), 2);
+            assert_eq!(reg.names(), vec!["layer".to_string(), "other".to_string()]);
+            assert_eq!(reg.dims("layer"), Some((6, 6)));
+            assert_eq!(typed(&reg, "layer"), *getters);
+            assert_eq!(reg.engine("layer").map(addr), Some(addr(backend)));
+
+            // Partitioning moves map entries, never engines.
+            let parts = reg.partition(&ring);
+            assert_eq!(parts.iter().map(EngineRegistry::len).sum::<usize>(), 2);
+            let owner = &parts[ring.shard_for("layer")];
+            assert_eq!(typed(owner, "layer"), *getters);
+            assert_eq!(owner.engine("layer").map(addr), Some(addr(backend)));
+
+            // Re-registering the name under any backend replaces it.
+            for (replacement, replaced_getters) in &backends {
+                reg.insert("layer", replacement.clone());
+                assert_eq!(reg.len(), 2);
+                assert_eq!(typed(&reg, "layer"), *replaced_getters);
+                assert_eq!(reg.engine("layer").map(addr), Some(addr(replacement)));
+            }
+        }
     }
 
     #[test]
     fn partition_routes_every_layer_to_its_ring_shard() {
-        use crate::HashRing;
         let mut reg = EngineRegistry::new();
         for i in 0..12 {
             reg.insert(format!("fc{i}"), engine(i));
@@ -468,13 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_with_activation_fuses_relu_into_the_served_engine() {
+    fn fused_activation_rides_the_inserted_engine() {
         let mut reg = EngineRegistry::new();
-        reg.insert("plain", engine(30)).insert_with_activation(
-            "relu",
-            engine(30),
-            Activation::Relu,
-        );
+        reg.insert("plain", engine(30))
+            .insert("relu", engine(30).with_activation(Activation::Relu));
         assert_eq!(reg.get("relu").unwrap().activation(), Activation::Relu);
         let x: Vec<f64> = (0..6).map(|i| (i as f64 - 3.0) * 0.7).collect();
         let mut y_plain = vec![0.0f64; 6];
@@ -494,15 +385,7 @@ mod tests {
         }
 
         // Quantized path: fused ReLU on the served fixed-point engine.
-        use tie_sim::QuantConfig;
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let shape = TtShape::uniform_rank(vec![2, 3], vec![3, 2], 2).unwrap();
-        let q = QuantizedEngine::new(
-            TtMatrix::random(&mut rng, &shape, 0.5).unwrap(),
-            QuantConfig::default(),
-        )
-        .unwrap();
-        reg.insert_quantized_with_activation("qrelu", q, Activation::Relu);
+        reg.insert("qrelu", quantized(31).with_activation(Activation::Relu));
         assert_eq!(
             reg.get_quantized("qrelu").unwrap().activation(),
             Activation::Relu
@@ -510,14 +393,39 @@ mod tests {
     }
 
     #[test]
+    fn check_request_rejects_unknown_layers_bad_lengths_and_non_finite_inputs() {
+        let mut reg = EngineRegistry::new();
+        reg.insert("fc", engine(32)).insert("qfc", quantized(33));
+        for layer in ["fc", "qfc"] {
+            assert_eq!(reg.check_request(layer, &[0.5; 6]), Ok(()));
+            assert_eq!(
+                reg.check_request(layer, &[0.5; 5]),
+                Err(ServeError::WrongInputLength { got: 5, want: 6 })
+            );
+            for (index, bad) in [(0, f64::NAN), (3, f64::INFINITY), (5, f64::NEG_INFINITY)] {
+                let mut x = vec![0.5; 6];
+                x[index] = bad;
+                x[5] = if index == 5 { bad } else { f64::NAN };
+                assert_eq!(
+                    reg.check_request(layer, &x),
+                    Err(ServeError::NonFiniteInput { index }),
+                    "the first non-finite element is named"
+                );
+            }
+        }
+        assert_eq!(
+            reg.check_request("nope", &[0.5; 6]),
+            Err(ServeError::UnknownLayer("nope".into()))
+        );
+    }
+
+    #[test]
     fn insert_from_plan_constructs_every_backend_combination() {
         use tie_core::{DeploymentPlan, PlanBackend};
-        use tie_sim::QuantConfig;
         use tie_tensor::linalg::SvdMethod;
 
         let shape = TtShape::uniform_rank(vec![2, 3], vec![3, 2], 2).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(40);
-        let matrix = TtMatrix::random(&mut rng, &shape, 0.5).unwrap();
+        let matrix = matrix(40);
         let plan = |name: &str, backend, depth| DeploymentPlan {
             layer: name.to_string(),
             shape: shape.clone(),
@@ -564,8 +472,9 @@ mod tests {
             "plan epilogue must be fused"
         );
         assert!(reg.get_quantized("quant").is_some());
-        assert!(reg.is_pipelined("float-pipe") && !reg.is_quantized("float-pipe"));
-        assert!(reg.is_pipelined("quant-pipe") && reg.is_quantized("quant-pipe"));
+        let pipe_quantized = |name| reg.get_pipelined(name).map(|e| e.is_quantized());
+        assert_eq!(pipe_quantized("float-pipe"), Some(false));
+        assert_eq!(pipe_quantized("quant-pipe"), Some(true));
         // The plan's margin reaches the calibration.
         let wide = DeploymentPlan {
             quant_margin: 3.0,
@@ -590,23 +499,5 @@ mod tests {
                 QuantConfig::default()
             )
             .is_err());
-    }
-
-    #[test]
-    fn clone_engines_yields_private_copies() {
-        let mut reg = EngineRegistry::new();
-        reg.insert("fc", engine(4));
-        let clones = reg.clone_engines();
-        assert_eq!(clones.len(), 1);
-        // The clone computes the same results as the shared original.
-        let x = vec![0.5f64; 6];
-        let mut y_shared = vec![0.0f64; 6];
-        let mut y_clone = vec![0.0f64; 6];
-        reg.get("fc")
-            .unwrap()
-            .matvec_into(&x, &mut y_shared)
-            .unwrap();
-        clones["fc"].matvec_into(&x, &mut y_clone).unwrap();
-        assert_eq!(y_shared, y_clone);
     }
 }

@@ -14,11 +14,12 @@ use std::thread::JoinHandle;
 
 /// A cloneable handle for submitting inference requests.
 ///
-/// Clients validate eagerly (layer name against the registry, input length
-/// against the layer's `N`) so the only errors that travel through the
-/// service are operational ones. [`Client::submit`] blocks when the
-/// bounded queue is full — that is the backpressure contract —
-/// while [`Client::try_submit`] returns [`ServeError::QueueFull`] instead.
+/// Clients validate eagerly ([`EngineRegistry::check_request`]: known
+/// layer, input length equal to the layer's `N`, every element finite) so
+/// the only errors that travel through the service are operational ones.
+/// [`Client::submit`] blocks when the bounded queue is full — that is the
+/// backpressure contract — while [`Client::try_submit`] returns
+/// [`ServeError::QueueFull`] instead.
 #[derive(Debug, Clone)]
 pub struct Client {
     tx: SyncSender<Msg>,
@@ -32,16 +33,7 @@ impl Client {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let (_m, n) = self
-            .registry
-            .dims(layer)
-            .ok_or_else(|| ServeError::UnknownLayer(layer.to_string()))?;
-        if input.len() != n {
-            return Err(ServeError::WrongInputLength {
-                got: input.len(),
-                want: n,
-            });
-        }
+        self.registry.check_request(layer, &input)?;
         Ok(Request::new(
             layer.to_string(),
             input,
@@ -53,8 +45,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownLayer`], [`ServeError::WrongInputLength`] for
-    /// invalid requests; [`ServeError::ShuttingDown`] once shutdown began.
+    /// [`ServeError::UnknownLayer`], [`ServeError::WrongInputLength`],
+    /// [`ServeError::NonFiniteInput`] for invalid requests;
+    /// [`ServeError::ShuttingDown`] once shutdown began.
     pub fn submit(&self, layer: &str, input: Vec<f64>) -> Result<Ticket, ServeError> {
         let (req, ticket) = self.make_request(layer, input)?;
         match self.tx.send(Msg::Request(req)) {
@@ -330,7 +323,7 @@ mod tests {
         )
         .unwrap();
         let mut reg = EngineRegistry::new();
-        reg.insert_quantized("qfc", engine.clone());
+        reg.insert("qfc", engine.clone());
         let svc = InferenceService::start(
             reg,
             ServeConfig {
@@ -364,8 +357,23 @@ mod tests {
             client.submit("fc", vec![0.0; 5]).unwrap_err(),
             ServeError::WrongInputLength { got: 5, want: 6 }
         );
+        for (index, bad) in [(0, f64::NAN), (2, f64::INFINITY), (5, f64::NEG_INFINITY)] {
+            let mut x = vec![0.0; 6];
+            x[index] = bad;
+            let want = ServeError::NonFiniteInput { index };
+            assert_eq!(client.submit("fc", x.clone()).unwrap_err(), want);
+            assert_eq!(client.try_submit("fc", x).unwrap_err(), want);
+        }
         let stats = svc.shutdown();
-        assert_eq!((stats.submitted, stats.completed, stats.failed), (0, 0, 0));
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.rejected,
+                stats.completed,
+                stats.failed
+            ),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]

@@ -148,16 +148,7 @@ impl SharedState {
         if !self.accepting.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let (_m, n) = self
-            .registry
-            .dims(layer)
-            .ok_or_else(|| ServeError::UnknownLayer(layer.to_string()))?;
-        if input.len() != n {
-            return Err(ServeError::WrongInputLength {
-                got: input.len(),
-                want: n,
-            });
-        }
+        self.registry.check_request(layer, input)?;
         let shard_id = self.ring.shard_for(layer);
         let shard = &self.shards[shard_id];
         let mut round = 0usize;
@@ -223,8 +214,9 @@ impl ShardedClient {
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownLayer`] / [`ServeError::WrongInputLength`] for
-    /// invalid requests, [`ServeError::QueueFull`] after retry exhaustion,
+    /// [`ServeError::UnknownLayer`] / [`ServeError::WrongInputLength`] /
+    /// [`ServeError::NonFiniteInput`] for invalid requests,
+    /// [`ServeError::QueueFull`] after retry exhaustion,
     /// [`ServeError::ShardUnavailable`] when the target shard has no
     /// accepting replica, [`ServeError::ShuttingDown`] once shutdown
     /// began.
@@ -630,7 +622,15 @@ mod tests {
             client.submit("fc0", vec![0.0; 5]).unwrap_err(),
             ServeError::WrongInputLength { got: 5, want: 6 }
         );
+        for (index, bad) in [(1, f64::NAN), (4, f64::INFINITY), (5, f64::NEG_INFINITY)] {
+            let mut x = vec![0.0; 6];
+            x[index] = bad;
+            let want = ServeError::NonFiniteInput { index };
+            assert_eq!(client.submit("fc0", x.clone()).unwrap_err(), want);
+            assert_eq!(client.try_submit("fc0", x).unwrap_err(), want);
+        }
         let stats = svc.shutdown();
+        assert_eq!(stats.global().submitted, 0);
         assert_eq!(stats.routed() + stats.rejected() + stats.drained(), 0);
     }
 
@@ -785,8 +785,7 @@ mod tests {
         )
         .unwrap();
         let mut reg = EngineRegistry::new();
-        reg.insert("fc", engine(2))
-            .insert_quantized("qfc", qe.clone());
+        reg.insert("fc", engine(2)).insert("qfc", qe.clone());
         let svc = ShardedService::start(reg, fast_config(3, 1)).unwrap();
         let client = svc.client();
         let x: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();

@@ -1,5 +1,6 @@
 //! Service counters: lock-free recording, consistent snapshots.
 
+use crate::engine::BatchReport;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -80,7 +81,7 @@ impl StatsCore {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_batch(&self, occupancy: usize, cause: DispatchCause) {
+    pub(crate) fn record_dispatch(&self, occupancy: usize, cause: DispatchCause) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests
             .fetch_add(occupancy as u64, Ordering::Relaxed);
@@ -103,48 +104,28 @@ impl StatsCore {
         self.failed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds one quantized batch's saturation report into the counters.
-    pub(crate) fn record_quant(&self, outputs: u64, acc_saturations: u64, out_saturations: u64) {
-        self.quant_outputs.fetch_add(outputs, Ordering::Relaxed);
-        self.quant_acc_saturations
-            .fetch_add(acc_saturations, Ordering::Relaxed);
-        self.quant_out_saturations
-            .fetch_add(out_saturations, Ordering::Relaxed);
-    }
-
-    /// Folds one batch's copy-traffic accounting into the counters:
-    /// `bytes_moved` actually copied (input preparation), and
-    /// `transform_elided_bytes` of permutation traffic the fused write
-    /// epilogues avoided.
-    pub(crate) fn record_traffic(&self, bytes_moved: u64, transform_elided_bytes: u64) {
-        self.bytes_moved.fetch_add(bytes_moved, Ordering::Relaxed);
-        self.transform_elided_bytes
-            .fetch_add(transform_elided_bytes, Ordering::Relaxed);
-    }
-
-    /// Folds one pipelined batch's scheduling telemetry into the
-    /// counters. `stage_chunks` is the summed per-stage occupancy
-    /// (`chunks × depth` for this run), so the exact reconciliation
+    /// Folds one executed batch's [`BatchReport`] into the counters:
+    /// saturation counts (zero on the float datapath), copy traffic, and —
+    /// for a pipelined batch — its scheduling telemetry. The pipeline's
+    /// `stage_chunks` is its summed per-stage occupancy (`chunks × depth`
+    /// for this run), so the exact reconciliation
     /// `pipeline_stage_chunks == pipeline_chunks + pipeline_handoffs`
     /// holds layer-depth-independently.
-    pub(crate) fn record_pipeline(
-        &self,
-        chunks: u64,
-        stage_chunks: u64,
-        handoffs: u64,
-        send_stalls: u64,
-        recv_stalls: u64,
-    ) {
-        self.pipeline_batches.fetch_add(1, Ordering::Relaxed);
-        self.pipeline_chunks.fetch_add(chunks, Ordering::Relaxed);
-        self.pipeline_stage_chunks
-            .fetch_add(stage_chunks, Ordering::Relaxed);
-        self.pipeline_handoffs
-            .fetch_add(handoffs, Ordering::Relaxed);
-        self.pipeline_send_stalls
-            .fetch_add(send_stalls, Ordering::Relaxed);
-        self.pipeline_recv_stalls
-            .fetch_add(recv_stalls, Ordering::Relaxed);
+    pub(crate) fn record_batch(&self, report: &BatchReport) {
+        let add = |counter: &AtomicU64, v: u64| counter.fetch_add(v, Ordering::Relaxed);
+        add(&self.quant_outputs, report.quant.outputs);
+        add(&self.quant_acc_saturations, report.quant.acc_saturations);
+        add(&self.quant_out_saturations, report.quant.out_saturations);
+        add(&self.bytes_moved, report.bytes_moved);
+        add(&self.transform_elided_bytes, report.transform_elided_bytes);
+        if let Some(run) = report.pipeline {
+            add(&self.pipeline_batches, 1);
+            add(&self.pipeline_chunks, run.chunks);
+            add(&self.pipeline_stage_chunks, run.chunks * run.depth);
+            add(&self.pipeline_handoffs, run.handoffs);
+            add(&self.pipeline_send_stalls, run.send_stalls);
+            add(&self.pipeline_recv_stalls, run.recv_stalls);
+        }
     }
 
     pub(crate) fn snapshot(&self) -> ServiceStats {
@@ -456,11 +437,6 @@ impl ServiceStats {
         self.submitted.saturating_sub(self.completed + self.failed)
     }
 
-    /// Fraction of quantized stage-GEMM outputs that saturated anywhere in
-    /// the datapath (`0` when no quantized batch ran). A persistently
-    /// nonzero rate means the one-shot calibration no longer covers the
-    /// live traffic — re-load the layer with fresh probes or a wider
-    /// margin.
     /// Fraction of the pipeline's copy traffic the fused Transform
     /// eliminated: `elided / (elided + moved)` (`0` before any batch).
     /// The legacy pipeline would have copied both terms; the fused one
@@ -489,6 +465,11 @@ impl ServiceStats {
         }
     }
 
+    /// Fraction of quantized stage-GEMM outputs that saturated anywhere in
+    /// the datapath (`0` when no quantized batch ran). A persistently
+    /// nonzero rate means the one-shot calibration no longer covers the
+    /// live traffic — re-load the layer with fresh probes or a wider
+    /// margin.
     #[must_use]
     pub fn quant_saturation_rate(&self) -> f64 {
         if self.quant_outputs == 0 {
@@ -503,6 +484,8 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tie_core::pipeline::PipeRunStats;
+    use tie_quant::QMatmulReport;
 
     #[test]
     fn counters_accumulate_and_snapshot() {
@@ -510,7 +493,7 @@ mod tests {
         core.record_submit();
         core.record_submit();
         core.record_reject();
-        core.record_batch(2, DispatchCause::Full);
+        core.record_dispatch(2, DispatchCause::Full);
         core.record_response(Duration::from_micros(10));
         core.record_response(Duration::from_micros(30));
         let s = core.snapshot();
@@ -540,8 +523,16 @@ mod tests {
     fn quant_counters_accumulate() {
         let core = StatsCore::new();
         assert_eq!(core.snapshot().quant_saturation_rate(), 0.0);
-        core.record_quant(100, 2, 3);
-        core.record_quant(100, 0, 0);
+        let quant = |outputs, acc_saturations, out_saturations| BatchReport {
+            quant: QMatmulReport {
+                acc_saturations,
+                out_saturations,
+                outputs,
+            },
+            ..BatchReport::default()
+        };
+        core.record_batch(&quant(100, 2, 3));
+        core.record_batch(&quant(100, 0, 0));
         let s = core.snapshot();
         assert_eq!(s.quant_outputs, 200);
         assert_eq!(s.quant_acc_saturations, 2);
@@ -553,8 +544,13 @@ mod tests {
     fn traffic_counters_accumulate() {
         let core = StatsCore::new();
         assert_eq!(core.snapshot().transform_elided_fraction(), 0.0);
-        core.record_traffic(100, 300);
-        core.record_traffic(50, 150);
+        let traffic = |bytes_moved, transform_elided_bytes| BatchReport {
+            bytes_moved,
+            transform_elided_bytes,
+            ..BatchReport::default()
+        };
+        core.record_batch(&traffic(100, 300));
+        core.record_batch(&traffic(50, 150));
         let s = core.snapshot();
         assert_eq!(s.bytes_moved, 150);
         assert_eq!(s.transform_elided_bytes, 450);
@@ -639,9 +635,19 @@ mod tests {
     fn pipeline_counters_accumulate_and_reconcile() {
         let core = StatsCore::new();
         assert_eq!(core.snapshot().pipeline_stall_fraction(), 0.0);
+        let run = |depth, chunks, handoffs, send_stalls, recv_stalls| BatchReport {
+            pipeline: Some(PipeRunStats {
+                depth,
+                chunks,
+                handoffs,
+                send_stalls,
+                recv_stalls,
+            }),
+            ..BatchReport::default()
+        };
         // Depth-3 run of 8 chunks, then a depth-2 run of 4 chunks.
-        core.record_pipeline(8, 24, 16, 3, 2);
-        core.record_pipeline(4, 8, 4, 0, 1);
+        core.record_batch(&run(3, 8, 16, 3, 2));
+        core.record_batch(&run(2, 4, 4, 0, 1));
         let s = core.snapshot();
         assert_eq!(s.pipeline_batches, 2);
         assert_eq!(s.pipeline_chunks, 12);
@@ -668,8 +674,8 @@ mod tests {
     #[test]
     fn cause_counters_split() {
         let core = StatsCore::new();
-        core.record_batch(1, DispatchCause::Deadline);
-        core.record_batch(3, DispatchCause::Drain);
+        core.record_dispatch(1, DispatchCause::Deadline);
+        core.record_dispatch(3, DispatchCause::Drain);
         let s = core.snapshot();
         assert_eq!(
             (s.full_batches, s.deadline_batches, s.drain_batches),

@@ -1,8 +1,8 @@
 //! Worker threads: execute dispatched batches on private engine clones.
 //!
-//! Each worker holds its own clone of every registered engine (fresh
-//! scratch workspace, no shared mutable state — see
-//! [`crate::EngineRegistry::clone_engines`]) plus two reusable interleave
+//! Each worker holds its own private clone of every registered engine
+//! (fresh scratch workspace, no shared mutable state — see
+//! [`crate::Engine::private_clone`]) plus two reusable interleave
 //! buffers, so steady-state batch execution allocates only the per-request
 //! output vectors it hands back to callers.
 //!
@@ -14,113 +14,18 @@
 //! batches, pool joins.
 
 use crate::batcher::Batch;
+use crate::engine::Engine;
 use crate::error::ServeError;
 use crate::request::Response;
 use crate::stats::StatsCore;
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
-use tie_core::CompactEngine;
-use tie_sim::{PipelinedEngine, QuantizedEngine};
-use tie_tensor::Result;
-
-/// Per-batch accounting a worker folds into the service stats: the
-/// quantized saturation counters (zero on the float datapath) and, for
-/// the pipelined backend, the run's scheduling telemetry.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct BatchAccounting {
-    pub outputs: u64,
-    pub acc_saturations: u64,
-    pub out_saturations: u64,
-    /// `Some` iff the batch ran on a pipelined engine:
-    /// `(chunks, stage_chunks, handoffs, send_stalls, recv_stalls)`.
-    pub pipeline: Option<(u64, u64, u64, u64, u64)>,
-}
-
-/// A worker's private copy of one registered layer: the float reference
-/// engine, the bit-accurate fixed-point engine, or the pipeline-parallel
-/// wrapper around either. All expose the same batch-inner-most
-/// `matvec_batch_into` contract, so the worker loop is backend-agnostic;
-/// the quantized and pipelined backends additionally report counters,
-/// which the worker folds into the service stats.
-#[derive(Debug)]
-pub(crate) enum WorkerEngine {
-    Float(CompactEngine<f64>),
-    Quantized(QuantizedEngine),
-    Pipelined(PipelinedEngine),
-}
-
-impl WorkerEngine {
-    /// `(rows M, cols N)` of the layer.
-    fn dims(&self) -> (usize, usize) {
-        match self {
-            WorkerEngine::Float(e) => {
-                let shape = e.matrix().shape();
-                (shape.num_rows(), shape.num_cols())
-            }
-            WorkerEngine::Quantized(e) => (e.num_rows(), e.num_cols()),
-            WorkerEngine::Pipelined(e) => (e.num_rows(), e.num_cols()),
-        }
-    }
-
-    /// Per-sample copy traffic `(bytes_moved, transform_elided_bytes)`:
-    /// what the engine still copies (input preparation) and what its fused
-    /// write epilogues no longer re-copy (inter-stage Transform + output
-    /// assembly).
-    fn traffic_per_sample(&self) -> (u64, u64) {
-        match self {
-            WorkerEngine::Float(e) => (
-                e.bytes_moved_per_sample(),
-                e.transform_elided_bytes_per_sample(),
-            ),
-            WorkerEngine::Quantized(e) => (
-                e.bytes_moved_per_sample(),
-                e.transform_elided_bytes_per_sample(),
-            ),
-            WorkerEngine::Pipelined(e) => (
-                e.bytes_moved_per_sample(),
-                e.transform_elided_bytes_per_sample(),
-            ),
-        }
-    }
-
-    /// Batched matvec; returns the batch's stats-facing accounting.
-    fn matvec_batch_into(&self, xs: &[f64], b: usize, ys: &mut [f64]) -> Result<BatchAccounting> {
-        match self {
-            WorkerEngine::Float(e) => e
-                .matvec_batch_into(xs, b, ys)
-                .map(|_ops| BatchAccounting::default()),
-            WorkerEngine::Quantized(e) => e.matvec_batch_into(xs, b, ys).map(|r| BatchAccounting {
-                outputs: r.outputs,
-                acc_saturations: r.acc_saturations,
-                out_saturations: r.out_saturations,
-                pipeline: None,
-            }),
-            WorkerEngine::Pipelined(e) => e.matvec_batch_into(xs, b, ys).map(|r| {
-                let run = r.run;
-                BatchAccounting {
-                    outputs: r.quant.outputs,
-                    acc_saturations: r.quant.acc_saturations,
-                    out_saturations: r.quant.out_saturations,
-                    pipeline: Some((
-                        run.chunks,
-                        // Summed per-stage occupancy of this run: every
-                        // chunk occupies every stage exactly once.
-                        run.chunks * run.depth,
-                        run.handoffs,
-                        run.send_stalls,
-                        run.recv_stalls,
-                    )),
-                }
-            }),
-        }
-    }
-}
 
 /// Worker thread body.
 pub(crate) fn run_worker(
     batch_rx: Arc<Mutex<Receiver<Batch>>>,
-    engines: HashMap<String, WorkerEngine>,
+    engines: HashMap<String, Engine>,
     stats: Arc<StatsCore>,
 ) {
     let mut xs: Vec<f64> = Vec::new();
@@ -140,14 +45,14 @@ pub(crate) fn run_worker(
     }
 }
 
-/// Runs one batch through `matvec_batch_into` and answers every request.
+/// Runs one batch through [`Engine::run`] and answers every request.
 ///
 /// The inputs are interleaved batch-inner-most (`xs[j * b + c]` is element
 /// `j` of request `c`) to match the engine's batched layout, which keeps
 /// the batched pass **bitwise identical** to `b` independent single-input
-/// calls (the property suite proves this for both backends).
+/// calls (the property suite proves this for every backend).
 fn execute(
-    engines: &HashMap<String, WorkerEngine>,
+    engines: &HashMap<String, Engine>,
     stats: &StatsCore,
     batch: Batch,
     xs: &mut Vec<f64>,
@@ -175,17 +80,9 @@ fn execute(
     ys.clear();
     ys.resize(m * b, 0.0);
 
-    match engine.matvec_batch_into(xs, b, ys) {
-        Ok(acct) => {
-            if acct.outputs > 0 {
-                stats.record_quant(acct.outputs, acct.acc_saturations, acct.out_saturations);
-            }
-            if let Some((chunks, stage_chunks, handoffs, send_stalls, recv_stalls)) = acct.pipeline
-            {
-                stats.record_pipeline(chunks, stage_chunks, handoffs, send_stalls, recv_stalls);
-            }
-            let (moved, elided) = engine.traffic_per_sample();
-            stats.record_traffic(moved * b as u64, elided * b as u64);
+    match engine.run(xs, b, ys) {
+        Ok(report) => {
+            stats.record_batch(&report);
             for (c, req) in batch.requests.into_iter().enumerate() {
                 let output: Vec<f64> = (0..m).map(|r| ys[r * b + c]).collect();
                 let latency = req.submitted_at.elapsed();
@@ -208,227 +105,149 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::BatchReport;
     use crate::registry::EngineRegistry;
-    use crate::request::Request;
-    use crate::stats::StatsCore;
+    use crate::request::{Request, Ticket};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::sync::mpsc::sync_channel;
+    use tie_core::{CompactEngine, PipelineConfig};
+    use tie_sim::{PipelinedEngine, QuantConfig, QuantizedEngine};
     use tie_tt::{TtMatrix, TtShape};
 
-    fn registry(seed: u64) -> EngineRegistry {
+    /// Makes one backend from a layer's float engine and quantized twin.
+    type Build = fn(CompactEngine<f64>, QuantizedEngine) -> Engine;
+
+    /// A registry serving one random 12×12 layer under `name` on the
+    /// backend `build` makes.
+    fn registry(seed: u64, name: &str, build: Build) -> EngineRegistry {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let shape = TtShape::uniform_rank(vec![2, 3], vec![3, 2], 2).unwrap();
-        let engine = CompactEngine::new(TtMatrix::random(&mut rng, &shape, 0.5).unwrap()).unwrap();
+        let shape = TtShape::uniform_rank(vec![2, 3, 2], vec![2, 3, 2], 2).unwrap();
+        let matrix = TtMatrix::random(&mut rng, &shape, 0.5).unwrap();
+        let float = CompactEngine::new(matrix.clone()).unwrap();
+        let quant = QuantizedEngine::new(matrix, QuantConfig::default()).unwrap();
         let mut reg = EngineRegistry::new();
-        reg.insert("fc", engine);
+        reg.insert(name, build(float, quant));
         reg
     }
 
-    #[test]
-    fn batch_results_match_direct_single_calls_bitwise() {
-        let reg = registry(7);
-        let stats = Arc::new(StatsCore::new());
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let engine = reg.get("fc").unwrap();
-        let n = engine.matrix().shape().num_cols();
-
-        let inputs: Vec<Vec<f64>> = (0..5)
-            .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let mut requests = Vec::new();
-        let mut tickets = Vec::new();
-        for input in &inputs {
-            let (req, ticket) = Request::new("fc".into(), input.clone(), Arc::clone(&stats));
-            requests.push(req);
-            tickets.push(ticket);
-        }
-        let batch = Batch {
-            layer: "fc".into(),
-            requests,
-        };
-
-        let (mut xs, mut ys) = (Vec::new(), Vec::new());
-        execute(&reg.worker_engines(), &stats, batch, &mut xs, &mut ys);
-
-        let m = engine.matrix().shape().num_rows();
-        for (input, ticket) in inputs.iter().zip(tickets) {
-            let resp = ticket.wait().unwrap();
-            assert_eq!(resp.batch_size, 5);
-            let mut direct = vec![0.0; m];
-            engine.matvec_into(input, &mut direct).unwrap();
-            assert_eq!(
-                resp.output, direct,
-                "batched response must be bit-identical"
-            );
-        }
-        let s = stats.snapshot();
-        assert_eq!(s.completed, 5);
-        assert_eq!(s.bytes_moved, 5 * engine.bytes_moved_per_sample());
-        assert_eq!(
-            s.transform_elided_bytes,
-            5 * engine.transform_elided_bytes_per_sample()
-        );
-        assert!(s.transform_elided_fraction() > 0.0);
+    fn float(seed: u64) -> EngineRegistry {
+        registry(seed, "fc", |f, _| f.into())
     }
 
-    #[test]
-    fn unknown_layer_answers_every_request() {
-        let reg = registry(8);
-        let stats = Arc::new(StatsCore::new());
-        let (req, ticket) = Request::new("nope".into(), vec![0.0; 6], Arc::clone(&stats));
+    /// Executes one batch of `inputs` for `layer` on `reg`'s worker clones.
+    fn execute_batch(
+        reg: &EngineRegistry,
+        layer: &str,
+        inputs: &[Vec<f64>],
+        stats: &Arc<StatsCore>,
+    ) -> Vec<Ticket> {
+        let (requests, tickets): (Vec<Request>, Vec<Ticket>) = inputs
+            .iter()
+            .map(|x| Request::new(layer.into(), x.clone(), Arc::clone(stats)))
+            .unzip();
         let batch = Batch {
-            layer: "nope".into(),
-            requests: vec![req],
+            layer: layer.into(),
+            requests,
         };
         execute(
             &reg.worker_engines(),
-            &stats,
+            stats,
             batch,
             &mut Vec::new(),
             &mut Vec::new(),
         );
-        assert!(matches!(ticket.wait(), Err(ServeError::UnknownLayer(_))));
+        tickets
+    }
+
+    /// Every backend answers a batch bit-identically to single-input calls
+    /// on the shared registry engine, and its `BatchReport` reaches the
+    /// service counters.
+    #[test]
+    fn batch_results_match_direct_single_calls_on_every_backend() {
+        const PIPE: PipelineConfig = PipelineConfig {
+            depth: 3,
+            micro_batch: 1,
+        };
+        let backends: [(&str, Build); 4] = [
+            ("float", |f, _| f.into()),
+            ("quantized", |_, q| q.into()),
+            ("float-pipe", |f, _| {
+                PipelinedEngine::float(&f, PIPE).unwrap().into()
+            }),
+            ("quant-pipe", |_, q| {
+                PipelinedEngine::quantized(&q, PIPE).unwrap().into()
+            }),
+        ];
+        for (seed, (name, build)) in (10..).zip(backends) {
+            let reg = registry(seed, name, build);
+            let engine = reg.engine(name).unwrap();
+            let stats = Arc::new(StatsCore::new());
+            let mut rng = ChaCha8Rng::seed_from_u64(seed + 100);
+            let b = 5usize;
+            let inputs: Vec<Vec<f64>> = (0..b)
+                .map(|_| (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                .collect();
+            let tickets = execute_batch(&reg, name, &inputs, &stats);
+
+            // Single-sample calls' reports sum to the batch's counters.
+            let mut direct_sum = BatchReport::default();
+            for (input, ticket) in inputs.iter().zip(tickets) {
+                let resp = ticket.wait().unwrap();
+                assert_eq!(resp.batch_size, b);
+                let mut direct = vec![0.0; 12];
+                let r = engine.run(input, 1, &mut direct).unwrap();
+                assert_eq!(resp.output, direct, "{name}: batch must be bit-identical");
+                direct_sum.quant.outputs += r.quant.outputs;
+                direct_sum.bytes_moved += r.bytes_moved;
+                direct_sum.transform_elided_bytes += r.transform_elided_bytes;
+            }
+            let s = stats.snapshot();
+            assert_eq!(s.completed, b as u64);
+            assert_eq!(s.quant_outputs, direct_sum.quant.outputs, "{name}");
+            assert_eq!(s.quant_outputs > 0, engine.is_quantized(), "{name}");
+            assert_eq!(s.bytes_moved, direct_sum.bytes_moved, "{name}");
+            assert_eq!(
+                s.transform_elided_bytes, direct_sum.transform_elided_bytes,
+                "{name}"
+            );
+            assert!(s.transform_elided_fraction() > 0.0, "{name}");
+            if matches!(engine, Engine::Pipelined(_)) {
+                // Stall counters reconcile exactly against handoffs.
+                let depth = PIPE.depth as u64;
+                assert_eq!(s.pipeline_batches, 1);
+                assert_eq!(s.pipeline_chunks, b as u64);
+                assert_eq!(s.pipeline_handoffs, b as u64 * (depth - 1));
+                assert_eq!(
+                    s.pipeline_stage_chunks,
+                    s.pipeline_chunks + s.pipeline_handoffs
+                );
+                assert!(s.pipeline_send_stalls <= s.pipeline_handoffs);
+                assert!(s.pipeline_recv_stalls <= s.pipeline_handoffs);
+            } else {
+                assert_eq!(s.pipeline_batches + s.pipeline_handoffs, 0, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_layer_answers_every_request() {
+        let stats = Arc::new(StatsCore::new());
+        let tickets = execute_batch(&float(8), "nope", &[vec![0.0; 12]], &stats);
+        for ticket in tickets {
+            assert!(matches!(ticket.wait(), Err(ServeError::UnknownLayer(_))));
+        }
         assert_eq!(stats.snapshot().failed, 1);
     }
 
     #[test]
     fn worker_exits_on_disconnect() {
-        let reg = registry(9);
         let (batch_tx, batch_rx) = sync_channel::<Batch>(4);
         let rx = Arc::new(Mutex::new(batch_rx));
-        let engines = reg.worker_engines();
+        let engines = float(9).worker_engines();
         let stats = Arc::new(StatsCore::new());
         let handle = std::thread::spawn(move || run_worker(rx, engines, stats));
         drop(batch_tx);
         handle.join().unwrap();
-    }
-
-    #[test]
-    fn pipelined_batch_matches_direct_engine_and_reconciles_counters() {
-        use tie_core::PipelineConfig;
-        use tie_sim::{PipelinedEngine, QuantConfig, QuantizedEngine};
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let shape = TtShape::uniform_rank(vec![2, 3, 2], vec![2, 3, 2], 2).unwrap();
-        let qengine = QuantizedEngine::new(
-            TtMatrix::random(&mut rng, &shape, 0.5).unwrap(),
-            QuantConfig::default(),
-        )
-        .unwrap();
-        let pipelined = PipelinedEngine::quantized(
-            &qengine,
-            PipelineConfig {
-                depth: 3,
-                micro_batch: 1,
-            },
-        )
-        .unwrap();
-        let depth = pipelined.depth() as u64;
-        let mut reg = EngineRegistry::new();
-        reg.insert_pipelined("pfc", pipelined);
-        let stats = Arc::new(StatsCore::new());
-
-        let b = 5usize;
-        let inputs: Vec<Vec<f64>> = (0..b)
-            .map(|_| (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let mut requests = Vec::new();
-        let mut tickets = Vec::new();
-        for input in &inputs {
-            let (req, ticket) = Request::new("pfc".into(), input.clone(), Arc::clone(&stats));
-            requests.push(req);
-            tickets.push(ticket);
-        }
-        let batch = Batch {
-            layer: "pfc".into(),
-            requests,
-        };
-        execute(
-            &reg.worker_engines(),
-            &stats,
-            batch,
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
-
-        for (input, ticket) in inputs.iter().zip(tickets) {
-            let resp = ticket.wait().unwrap();
-            let mut direct = vec![0.0; 12];
-            qengine.matvec_batch_into(input, 1, &mut direct).unwrap();
-            assert_eq!(resp.output, direct, "pipelined batch must be bit-identical");
-        }
-        let s = stats.snapshot();
-        assert_eq!(s.completed, b as u64);
-        assert!(
-            s.quant_outputs > 0,
-            "quantized pipeline feeds quant counters"
-        );
-        // Stall counters reconcile exactly against handoffs.
-        assert_eq!(s.pipeline_batches, 1);
-        assert_eq!(s.pipeline_chunks, b as u64);
-        assert_eq!(s.pipeline_handoffs, b as u64 * (depth - 1));
-        assert_eq!(
-            s.pipeline_stage_chunks,
-            s.pipeline_chunks + s.pipeline_handoffs
-        );
-        assert!(s.pipeline_send_stalls <= s.pipeline_handoffs);
-        assert!(s.pipeline_recv_stalls <= s.pipeline_handoffs);
-    }
-
-    #[test]
-    fn quantized_batch_matches_direct_engine_and_records_counters() {
-        use tie_sim::{QuantConfig, QuantizedEngine};
-        use tie_tt::{TtMatrix, TtShape};
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let shape = TtShape::uniform_rank(vec![2, 3], vec![3, 2], 2).unwrap();
-        let engine = QuantizedEngine::new(
-            TtMatrix::random(&mut rng, &shape, 0.5).unwrap(),
-            QuantConfig::default(),
-        )
-        .unwrap();
-        let mut reg = EngineRegistry::new();
-        reg.insert_quantized("qfc", engine.clone());
-        let stats = Arc::new(StatsCore::new());
-
-        let inputs: Vec<Vec<f64>> = (0..4)
-            .map(|_| (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let mut requests = Vec::new();
-        let mut tickets = Vec::new();
-        for input in &inputs {
-            let (req, ticket) = Request::new("qfc".into(), input.clone(), Arc::clone(&stats));
-            requests.push(req);
-            tickets.push(ticket);
-        }
-        let batch = Batch {
-            layer: "qfc".into(),
-            requests,
-        };
-        execute(
-            &reg.worker_engines(),
-            &stats,
-            batch,
-            &mut Vec::new(),
-            &mut Vec::new(),
-        );
-
-        for (input, ticket) in inputs.iter().zip(tickets) {
-            let resp = ticket.wait().unwrap();
-            let mut direct = vec![0.0; 6];
-            engine.matvec_batch_into(input, 1, &mut direct).unwrap();
-            assert_eq!(resp.output, direct, "quantized batch must be bit-identical");
-        }
-        let s = stats.snapshot();
-        assert_eq!(s.completed, 4);
-        assert!(
-            s.quant_outputs > 0,
-            "quantized batches must feed the counters"
-        );
-        assert_eq!(s.quant_acc_saturations + s.quant_out_saturations, 0);
-        assert_eq!(s.bytes_moved, 4 * engine.bytes_moved_per_sample());
-        assert_eq!(
-            s.transform_elided_bytes,
-            4 * engine.transform_elided_bytes_per_sample()
-        );
     }
 }

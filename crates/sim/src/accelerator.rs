@@ -1,7 +1,7 @@
 //! The full TIE engine: main controller, weight SRAM, ping-pong working
 //! SRAMs and the PE array (paper Fig. 8).
 
-use crate::config::{CalibrationMode, TieConfig};
+use crate::config::TieConfig;
 use crate::pe_array::{PeArray, StageOutcome};
 use crate::sram::{WeightSram, WorkingSram};
 use crate::stats::{RunStats, StageStats};
@@ -253,9 +253,8 @@ impl TieAccelerator {
     }
 
     /// Float reference traces performed for activation calibration since
-    /// construction. With the default [`CalibrationMode::OneShot`] this
-    /// grows only at `load_layer` / `load_network` time (probe set); with
-    /// [`CalibrationMode::PerBatch`] it also grows by up to 8 per batch.
+    /// construction. This grows only at `load_layer` / `load_network` time
+    /// (the probe set), never per batch.
     pub fn calibration_traces(&self) -> u64 {
         self.calibration_traces
     }
@@ -272,13 +271,11 @@ impl TieAccelerator {
 
     /// Whether load-time probe calibration is active.
     fn one_shot(&self) -> bool {
-        self.config.quant.calibrate_activations
-            && self.config.quant.calibration == CalibrationMode::OneShot
-            && self.config.quant.probe_count > 0
+        self.config.quant.calibrate_activations && self.config.quant.probe_count > 0
     }
 
     /// Derives the memoized load-time formats for one layer: probe
-    /// calibration under [`CalibrationMode::OneShot`], the configured
+    /// calibration when activation calibration is on, the configured
     /// fallback otherwise. Returns the layer's calibration fields plus
     /// the probe outputs (empty when probes were skipped).
     #[allow(clippy::type_complexity)]
@@ -456,45 +453,6 @@ impl TieAccelerator {
         self.run_batch_inner(layer, xs, relu, core_base, false)
     }
 
-    /// Activation formats for one batch: the memoized load-time formats
-    /// under [`CalibrationMode::OneShot`] (zero float work), or a fresh
-    /// float-trace refresh over up to 8 samples under
-    /// [`CalibrationMode::PerBatch`].
-    fn formats_for_batch(
-        &mut self,
-        layer: &LoadedLayer,
-        xs: &Tensor<f64>,
-        batch: usize,
-    ) -> Result<(QFormat, Vec<QFormat>)> {
-        let quant = self.config.quant;
-        if !(quant.calibrate_activations && quant.calibration == CalibrationMode::PerBatch) {
-            return Ok((layer.input_format, layer.stage_formats.clone()));
-        }
-        let d = layer.shape.ndim();
-        let n = layer.shape.num_cols();
-        // The format must cover every sample; tracing is capped at 8
-        // samples with extra headroom standing in for the rest.
-        let traced = batch.min(8);
-        let mut input_max = 0.0f64;
-        let mut stage_max = vec![0.0f64; d];
-        for b in 0..traced {
-            let col = xs.cols(b, b + 1)?.reshaped(vec![n])?;
-            let (_, trace) = layer.engine.matvec_traced(&col)?;
-            self.calibration_traces += 1;
-            input_max = input_max.max(trace.prepared_input.max_abs());
-            for (sm, out) in stage_max.iter_mut().zip(&trace.stage_outputs) {
-                *sm = sm.max(out.max_abs());
-            }
-        }
-        let margin = if traced < batch { 1.25 } else { 1.05 };
-        let input_format = self.select_format(input_max, margin);
-        let stage_formats = stage_max
-            .iter()
-            .map(|&m| self.select_format(m, margin))
-            .collect();
-        Ok((input_format, stage_formats))
-    }
-
     #[allow(clippy::too_many_lines)]
     fn run_batch_inner(
         &mut self,
@@ -514,7 +472,8 @@ impl TieAccelerator {
             });
         }
         let batch = xs.dims()[1];
-        let (input_format, stage_formats) = self.formats_for_batch(layer, xs, batch)?;
+        // The memoized load-time formats: no float work per batch.
+        let (input_format, stage_formats) = (layer.input_format, &layer.stage_formats);
 
         // Stage the prepared inputs block-wise (sample-major columns) in
         // working SRAM 0.

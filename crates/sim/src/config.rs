@@ -1,29 +1,6 @@
 use tie_quant::QFormat;
 use tie_tensor::{Result, TensorError};
 
-/// When activation formats are chosen (see
-/// [`QuantConfig::calibrate_activations`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalibrationMode {
-    /// Calibrate **once at load time** from a seeded probe set (the
-    /// default): `load_layer` traces [`QuantConfig::probe_count`] random
-    /// probe vectors through the float reference engine, memoizes the
-    /// per-stage maxima on the loaded layer, and every subsequent run
-    /// reuses those formats. Steady-state `run_batch` therefore performs
-    /// **zero** float reference work, and batched runs are bit-identical
-    /// to the same samples run one at a time (formats no longer depend on
-    /// the batch contents). This models an ASIC flow's offline
-    /// fixed-point scaling pass.
-    #[default]
-    OneShot,
-    /// Re-calibrate from float traces of the actual inputs on **every
-    /// batch** (the legacy behavior, up to 8 traced samples per batch).
-    /// Tightest formats for wildly non-stationary inputs, at the cost of
-    /// float reference traces on the hot path — keep it for refresh runs
-    /// and A/B experiments, not serving.
-    PerBatch,
-}
-
 /// Quantization configuration of the datapath.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantConfig {
@@ -32,18 +9,19 @@ pub struct QuantConfig {
     /// Format of activations / intermediate `V_h` values. When
     /// `calibrate_activations` is set this is only the fallback.
     pub activation_format: QFormat,
-    /// If true (default), each stage's output format is calibrated from a
-    /// float trace — at load time over the probe set
-    /// ([`CalibrationMode::OneShot`]) or per batch
-    /// ([`CalibrationMode::PerBatch`]) — modeling the per-layer
-    /// fixed-point scaling an ASIC flow would choose offline.
+    /// If true (default), each stage's output format is calibrated
+    /// **once at load time** from float traces of a seeded probe set:
+    /// `load_layer` traces [`QuantConfig::probe_count`] probe vectors
+    /// through the float reference engine, memoizes the per-stage maxima
+    /// on the loaded layer, and every run reuses those formats. Steady-
+    /// state `run_batch` therefore performs **zero** float reference
+    /// work, and batched runs are bit-identical to the same samples run
+    /// one at a time. This models the per-layer fixed-point scaling pass
+    /// an ASIC flow would run offline.
     pub calibrate_activations: bool,
     /// If true (default), each core's weight format is calibrated to its
     /// own max-abs at load time; otherwise `weight_format` is used as-is.
     pub calibrate_weights: bool,
-    /// When activation calibration happens (default
-    /// [`CalibrationMode::OneShot`]).
-    pub calibration: CalibrationMode,
     /// Probe vectors traced per layer for one-shot calibration.
     pub probe_count: usize,
     /// Seed of the deterministic probe generator (uniform ±`probe_amplitude`
@@ -52,14 +30,12 @@ pub struct QuantConfig {
     pub probe_seed: u64,
     /// Max-abs of the probe components (default 1.0, the usual normalized-
     /// activation convention). One-shot formats are chosen for inputs of
-    /// this amplitude; raise it (or switch to
-    /// [`CalibrationMode::PerBatch`]) when feeding unnormalized inputs,
-    /// exactly as an offline ASIC calibration would use representative
-    /// data.
+    /// this amplitude; raise it when feeding unnormalized inputs, exactly
+    /// as an offline ASIC calibration would use representative data.
     pub probe_amplitude: f64,
     /// Headroom multiplier applied to probe maxima before format
     /// selection. One-shot formats must cover inputs the probes never
-    /// saw, so the margin is wider than the legacy per-batch 1.05/1.25;
+    /// saw, so the margin is wider than a trace of the actual inputs needs;
     /// the cost is only `log2(margin)` of the 16-bit depth (≈ 0.6 bits
     /// at the default 1.5), leaving SQNR far above the 40 dB floor.
     pub probe_margin: f64,
@@ -93,7 +69,6 @@ impl Default for QuantConfig {
             activation_format: QFormat::new(8).expect("8 < 16"),
             calibrate_activations: true,
             calibrate_weights: true,
-            calibration: CalibrationMode::OneShot,
             probe_count: 8,
             probe_seed: 0x71e5_c0de,
             probe_amplitude: 1.0,

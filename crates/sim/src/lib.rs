@@ -44,7 +44,7 @@ mod sram;
 mod stats;
 
 pub use accelerator::{LoadedLayer, LoadedNetwork, TieAccelerator};
-pub use config::{CalibrationMode, QuantConfig, TieConfig};
+pub use config::{QuantConfig, TieConfig};
 pub use pe_array::PeArray;
 pub use qengine::QuantizedEngine;
 pub use qpipeline::{PipeReport, PipelinedEngine, QuantChain};

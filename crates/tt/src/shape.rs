@@ -43,7 +43,8 @@ impl TtShape {
     ///
     /// Returns [`TensorError::InvalidArgument`] if the mode lists are empty
     /// or of different length, if `ranks.len() != d + 1`, if any entry is
-    /// zero, or if the boundary ranks are not 1.
+    /// zero, if the boundary ranks are not 1, or if `M = ∏ m_k` or
+    /// `N = ∏ n_k` overflows `usize`.
     pub fn new(row_modes: Vec<usize>, col_modes: Vec<usize>, ranks: Vec<usize>) -> Result<Self> {
         let d = row_modes.len();
         if d == 0 {
@@ -78,6 +79,17 @@ impl TtShape {
                     ranks[0], ranks[d]
                 ),
             });
+        }
+        for (side, modes) in [("row", &row_modes), ("column", &col_modes)] {
+            if modes
+                .iter()
+                .try_fold(1usize, |p, &m| p.checked_mul(m))
+                .is_none()
+            {
+                return Err(TensorError::InvalidArgument {
+                    message: format!("{side} mode product {modes:?} overflows usize"),
+                });
+            }
         }
         Ok(TtShape {
             row_modes,
@@ -197,6 +209,10 @@ mod tests {
         assert!(TtShape::new(vec![2, 2], vec![2, 2], vec![2, 4, 1]).is_err());
         assert!(TtShape::new(vec![2, 2], vec![2, 2], vec![1, 0, 1]).is_err());
         assert!(TtShape::new(vec![2, 2], vec![2, 2], vec![1, 4, 1]).is_ok());
+        let huge = 1usize << (usize::BITS / 2);
+        assert!(TtShape::new(vec![huge, huge], vec![2, 2], vec![1, 4, 1]).is_err());
+        assert!(TtShape::new(vec![2, 2], vec![huge, huge], vec![1, 4, 1]).is_err());
+        assert!(TtShape::new(vec![huge, huge / 2], vec![2, 2], vec![1, 4, 1]).is_ok());
     }
 
     #[test]

@@ -864,9 +864,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(registry.names(), vec!["tiny-fc".to_string()]);
-        assert!(registry.is_quantized("tiny-fc"));
+        let engine = registry.engine("tiny-fc").unwrap();
+        assert!(engine.is_quantized());
         assert_eq!(
-            registry.is_pipelined("tiny-fc"),
+            matches!(engine, tie_serve::Engine::Pipelined(_)),
             tuned.plan.pipeline_depth > 1
         );
         // Unknown plan names are rejected.

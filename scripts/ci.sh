@@ -105,4 +105,29 @@ cargo test -q --release --test autotune_plans \
 echo "== tier-2: pooled vs scoped GEMM dispatch gate =="
 cargo test -q --release --test pool_perf "${CARGO_FLAGS[@]}" -- --ignored
 
+# End-to-end benchmark smoke gate (BENCHMARK.json): perfbench is a cargo
+# workspace of its own, so the workspace build above never compiles it,
+# yet it calls the serving, simulator and plan APIs. Run its own tests,
+# then each workload once; every run must exit 0 and report
+# `"correct": true` (each response checked bit for bit, books reconciled).
+# accel-sim keeps the default 20 s: shorter runs fall below the sample
+# floor its p99 latency needs.
+PERFBENCH=(--release "${CARGO_FLAGS[@]}" --manifest-path perfbench/Cargo.toml)
+echo "== tier-2: perfbench tests =="
+cargo test -q "${PERFBENCH[@]}"
+for workload in table4-float table4-quant-tuned small-layers accel-sim; do
+  seconds=3
+  if [[ "${workload}" == accel-sim ]]; then
+    seconds=20
+  fi
+  echo "-- perfbench ${workload}, ${seconds}s --"
+  result=$(cargo run -q "${PERFBENCH[@]}" -- \
+    --workload "${workload}" --seed 1 --seconds "${seconds}" --trace 0)
+  if ! grep -q '"correct": true' <<<"${result}"; then
+    echo "${result}"
+    echo "perfbench ${workload}: run not correct" >&2
+    exit 1
+  fi
+done
+
 echo "ci.sh: all green"

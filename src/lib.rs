@@ -31,8 +31,8 @@
 //! // 2. The compact inference scheme (the paper's contribution).
 //! let engine = CompactEngine::new(ttm.clone())?;
 //! // Normalized activations: the accelerator's one-shot fixed-point
-//! // calibration (see `tie::sim::CalibrationMode`) probes at unit
-//! // amplitude by default.
+//! // calibration (see `tie::sim::QuantConfig::calibrate_activations`)
+//! // probes at unit amplitude by default.
 //! let x = Tensor::<f64>::from_fn(vec![12], |i| i[0] as f64 / 11.0)?;
 //! let (y, ops) = engine.matvec(&x)?;
 //! assert!(y.approx_eq(&tie::tensor::linalg::matvec(&w, &x)?, 1e-9));

@@ -260,6 +260,34 @@ fn golden_tuned_plan_lstm_youtube() {
     check_fixture("LSTM-Youtube");
 }
 
+/// A golden plan whose mode product overflows `usize` is rejected when
+/// the deployment file is parsed, instead of panicking later in
+/// `num_rows()`/`num_cols()`.
+#[test]
+fn overflowing_mode_products_are_rejected_at_parse_time() {
+    let text = std::fs::read_to_string(fixture_path("LSTM-UCF11")).unwrap();
+    let fixture: Value = serde_json::from_str(&text).unwrap();
+    let Some(Value::Object(plan)) = fixture.get("tuned").cloned() else {
+        panic!("tuned plan is an object");
+    };
+    let with_modes = |key: &str, lead: u64| {
+        let mut plan = plan.clone();
+        let modes = plan.iter_mut().find(|(k, _)| k == key).unwrap();
+        let Value::Array(items) = &mut modes.1 else {
+            panic!("{key} is an array");
+        };
+        items[0] = Value::UInt(lead);
+        items[1] = Value::UInt(lead);
+        serde_json::to_string(&Value::Array(vec![Value::Object(plan)])).unwrap()
+    };
+    // Control: the same edit with in-range modes still parses.
+    assert!(plans_from_json(&with_modes("row_modes", 4)).is_ok());
+    for key in ["row_modes", "col_modes"] {
+        let err = plans_from_json(&with_modes(key, 1 << 32)).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{key}: {err}");
+    }
+}
+
 /// Re-runs the pinned search and demands the committed fixture bytes —
 /// the tuner determinism gate (ci.sh tier-2, release mode, both thread
 /// settings). With `TIE_AUTOTUNE_BUDGET_S` set, each layer's search must

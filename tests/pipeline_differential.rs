@@ -196,7 +196,7 @@ fn serve_pipelined_layer_matches_sequential_and_reconciles() {
     )
     .unwrap();
     let mut registry = EngineRegistry::new();
-    registry.insert_pipelined("fc", pipe);
+    registry.insert("fc", pipe);
 
     let service = InferenceService::start(registry, ServeConfig::default()).unwrap();
     let client = service.client();

@@ -38,7 +38,7 @@ fn serve_under_load_with_pooled_kernels_stays_deadlock_free_and_exact() {
     let n = engine.matrix().shape().num_cols();
 
     let mut registry = EngineRegistry::new();
-    registry.insert_shared("fc", Arc::clone(&engine));
+    registry.insert("fc", Arc::clone(&engine));
     let service = InferenceService::start(
         registry,
         ServeConfig {

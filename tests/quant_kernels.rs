@@ -22,7 +22,6 @@ use tie::quant::{
     alignment, qmatmul, qmatmul_naive, qmatmul_raw, qmatmul_raw_portable, qmatmul_raw_relu,
     qmatmul_raw_relu_portable,
 };
-use tie::sim::{CalibrationMode, QuantConfig};
 use tie::tensor::{init, parallel};
 
 /// Builds a `QTensor` from explicit codes.
@@ -282,7 +281,6 @@ fn fc7_quantized_batch_runs_within_budget() {
 /// One-shot calibration does all its float tracing at load time and none
 /// afterwards: the trace counter moves by exactly `probe_count` during
 /// `load_layer` and stays frozen over any number of `run_batch` calls.
-/// Under the legacy per-batch mode the same counter keeps climbing.
 #[test]
 fn one_shot_calibration_traces_only_at_load() {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
@@ -292,7 +290,7 @@ fn one_shot_calibration_traces_only_at_load() {
 
     let mut tie = TieAccelerator::new(TieConfig::default()).unwrap();
     assert_eq!(tie.calibration_traces(), 0);
-    let layer = tie.load_layer(ttm.clone()).unwrap();
+    let layer = tie.load_layer(ttm).unwrap();
     let probes = TieConfig::default().quant.probe_count as u64;
     assert_eq!(
         tie.calibration_traces(),
@@ -309,28 +307,4 @@ fn one_shot_calibration_traces_only_at_load() {
         probes,
         "steady-state run_batch must perform zero float reference traces"
     );
-
-    // Control: PerBatch keeps tracing on the hot path.
-    let cfg = TieConfig {
-        quant: QuantConfig {
-            calibration: CalibrationMode::PerBatch,
-            ..QuantConfig::default()
-        },
-        ..TieConfig::default()
-    };
-    let mut legacy = TieAccelerator::new(cfg).unwrap();
-    let layer = legacy.load_layer(ttm).unwrap();
-    assert_eq!(
-        legacy.calibration_traces(),
-        0,
-        "per-batch mode traces nothing at load"
-    );
-    for i in 1..=3u64 {
-        legacy.run_batch(&layer, &xs, false).unwrap();
-        assert_eq!(
-            legacy.calibration_traces(),
-            4 * i,
-            "per-batch mode must trace every sample of every batch"
-        );
-    }
 }

@@ -90,7 +90,7 @@ fn stress_no_lost_duplicated_or_cross_wired_responses() {
 
         let mut registry = EngineRegistry::new();
         for (name, engine) in &layers {
-            registry.insert_shared(*name, Arc::clone(engine));
+            registry.insert(*name, Arc::clone(engine));
         }
         let service = InferenceService::start(registry, config).unwrap();
 
@@ -174,7 +174,7 @@ fn stress_shutdown_under_load_drains_cleanly() {
     let layers = layers(seed);
     let mut registry = EngineRegistry::new();
     for (name, engine) in &layers {
-        registry.insert_shared(*name, Arc::clone(engine));
+        registry.insert(*name, Arc::clone(engine));
     }
     let config = ServeConfig {
         max_batch: 8,

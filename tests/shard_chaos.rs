@@ -118,7 +118,7 @@ fn chaos_round(seed: u64, pool: usize) {
     let layers = layers_covering_all_shards(seed, &ring);
     let mut registry = EngineRegistry::new();
     for (name, engine) in &layers {
-        registry.insert_shared(name.clone(), Arc::clone(engine));
+        registry.insert(name.clone(), Arc::clone(engine));
     }
     let service = Arc::new(ShardedService::start(registry, config).unwrap());
     let layers = Arc::new(layers);
@@ -334,7 +334,7 @@ fn lifecycle_under_load(seed: u64) {
     let layers = layers_covering_all_shards(seed, &ring);
     let mut registry = EngineRegistry::new();
     for (name, engine) in &layers {
-        registry.insert_shared(name.clone(), Arc::clone(engine));
+        registry.insert(name.clone(), Arc::clone(engine));
     }
     let service = ShardedService::start(registry, config).unwrap();
     let layers = Arc::new(layers);

@@ -112,7 +112,7 @@ fn run_round(seed: u64, round: u64, config: ShardConfig) {
 
     let mut registry = EngineRegistry::new();
     for (name, engine) in &layers {
-        registry.insert_shared(name.clone(), Arc::clone(engine));
+        registry.insert(name.clone(), Arc::clone(engine));
     }
     let service = ShardedService::start(registry, config.clone()).unwrap();
     let layers = Arc::new(layers);
