@@ -20,6 +20,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use tie_bench::measure::best_of;
 use tie_bench::report::{fnum, Report};
 use tie_core::{plans_to_json, DeploymentPlan};
 use tie_sim::{PipelinedEngine, QuantizedEngine};
@@ -29,18 +30,6 @@ use tie_workloads::compile::spec_weights;
 use tie_workloads::table4_layer_specs;
 
 const REPS: usize = 3;
-
-/// Best-of-`reps` wall-clock seconds for `f` (one untimed warm-up call).
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Measured wall-clock seconds **per sample** of the quantized engine a
 /// plan describes, serving `plan.batch` samples per call.

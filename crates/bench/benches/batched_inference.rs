@@ -12,11 +12,11 @@
 //! repository root so the measured ratios are recorded machine-readably.
 
 use std::path::Path;
-use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use tie_bench::measure::best_of;
 use tie_bench::report::{fnum, Report};
 use tie_core::{Activation, CompactEngine};
 use tie_sim::{QuantConfig, QuantizedEngine};
@@ -28,18 +28,6 @@ const GEMM_DIM: usize = 512;
 const BATCH: usize = 32;
 const EPI_BATCH: usize = 16;
 const REPS: usize = 5;
-
-/// Best-of-`reps` wall-clock seconds for `f` (one untimed warm-up call).
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn gemm_inputs() -> (Tensor<f64>, Tensor<f64>) {
     let mut rng = ChaCha8Rng::seed_from_u64(7);

@@ -21,17 +21,13 @@ use std::path::Path;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use tie_bench::measure::median_secs;
 use tie_bench::report::{fnum, Report};
 use tie_tensor::{linalg, parallel, pool};
 
 const THREADS: usize = 8;
 const GEMM_SIZES: [usize; 5] = [128, 192, 256, 384, 512];
 const REPS: usize = 40;
-
-fn median_secs(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 struct GemmRow {
     pooled_ms: f64,

@@ -23,6 +23,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use tie_bench::measure::median_secs;
 use tie_bench::report::{fnum, Report};
 use tie_quant::{qmatmul, qmatmul_naive, QFormat, QTensor};
 use tie_sim::{TieAccelerator, TieConfig};
@@ -40,11 +41,6 @@ const KERNEL_REPS: usize = 30;
 const BATCH: usize = 16;
 const WALK_REPS: usize = 3;
 const FAST_REPS: usize = 30;
-
-fn median_secs(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 fn qtensor(rows: usize, cols: usize, seed: u64, frac_bits: u32) -> QTensor {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -22,6 +22,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use tie_bench::measure::median_secs;
 use tie_bench::report::{fnum, Report};
 use tie_core::CompactEngine;
 use tie_tt::TtMatrix;
@@ -29,11 +30,6 @@ use tie_workloads::benchmarks::table4_benchmarks;
 
 const BATCH: usize = 16;
 const REPS: usize = 20;
-
-fn median_secs(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
 
 struct Row {
     name: &'static str,

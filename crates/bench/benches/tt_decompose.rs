@@ -18,6 +18,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use tie_bench::measure::best_of;
 use tie_bench::report::{fnum, Report};
 use tie_tensor::linalg::{self, truncated_svd, truncated_svd_with, SvdMethod, Truncation};
 use tie_tensor::{init, Tensor};
@@ -28,18 +29,6 @@ use tie_workloads::{
 };
 
 const REPS: usize = 3;
-
-/// Best-of-`reps` wall-clock seconds for `f` (one untimed warm-up call).
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Planted rank-`r` matrix plus uniform noise — the spectrum every
 /// compression-regime bench uses: `r` dominant directions, then a flat

@@ -1,7 +1,9 @@
-//! Shared measurement helpers used by the experiment modules.
+//! Shared measurement helpers used by the experiment modules, and the
+//! wall-clock timing helpers the benches share.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::time::Instant;
 use tie_baselines::eie::{CscMatrix, EieModel, EieRunStats};
 use tie_core::InferencePlan;
 use tie_energy::TieAreaPowerModel;
@@ -129,6 +131,26 @@ pub fn measure_eie(
         latency_s,
         equivalent_ops_per_sec: dense_ops / latency_s,
     })
+}
+
+/// Best-of-`reps` wall-clock seconds for `f` (one untimed warm-up call).
+pub fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    std::hint::black_box(f());
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        std::hint::black_box(f());
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Median of wall-clock samples in seconds (the upper median for an even
+/// count). Panics on an empty sample set.
+#[must_use]
+pub fn median_secs(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 #[cfg(test)]

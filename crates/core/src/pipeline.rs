@@ -41,9 +41,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use tie_tensor::linalg::{gemm_into_mapped, gemm_into_mapped_fused, DestMap};
+use tie_tensor::linalg::{gemm_into_mapped, DestMap};
 use tie_tensor::pipeline::PipelineHost;
-use tie_tensor::tile::Activation;
 use tie_tensor::{Result, Tensor, TensorError};
 use tie_tt::inference::OpCount;
 
@@ -858,11 +857,11 @@ pub struct FloatChain {
     prep: CopyPlan,
     rows: usize,
     cols: usize,
-    /// Final-stage fused epilogue, copied from the engine: the pipelined
-    /// pass applies bias + activation inside the last stage's GEMM store,
-    /// exactly like the sequential engine (bit-identical at any cut).
+    /// Final-stage fused bias, copied from the engine: the pipelined pass
+    /// applies bias + the plan's activation inside the last stage's GEMM
+    /// store, exactly like the sequential engine (bit-identical at any
+    /// cut).
     bias: Option<Vec<f64>>,
-    activation: Activation,
 }
 
 impl FloatChain {
@@ -888,7 +887,6 @@ impl FloatChain {
             rows: shape.num_rows(),
             cols: shape.num_cols(),
             bias: engine.bias().map(<[f64]>::to_vec),
-            activation: engine.activation(),
         })
     }
 }
@@ -932,35 +930,23 @@ impl StageChain for FloatChain {
     ) -> Result<()> {
         let stage = &self.plan.stages()[idx];
         let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
-        if idx + 1 == self.plan.stages().len() {
-            // Final stage: the bias/activation epilogue fuses into the
-            // same store that assembles the output. The epilogue indexes
-            // the logical destination element, so chunking the batch
-            // cannot perturb it.
-            gemm_into_mapped_fused(
-                self.gtildes[stage.h - 1].data(),
-                &input[..k * cols * w],
-                &mut output[..rows * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                &self.dest_maps[idx],
-                self.bias.as_deref(),
-                self.activation,
-            )?;
-        } else {
-            gemm_into_mapped(
-                self.gtildes[stage.h - 1].data(),
-                &input[..k * cols * w],
-                &mut output[..rows * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                &self.dest_maps[idx],
-            )?;
-        }
+        // The final stage's bias/activation epilogue fuses into the same
+        // store that assembles the output. The epilogue indexes the
+        // logical destination element, so chunking the batch cannot
+        // perturb it.
+        let last = idx + 1 == self.plan.stages().len();
+        gemm_into_mapped(
+            self.gtildes[stage.h - 1].data(),
+            &input[..k * cols * w],
+            &mut output[..rows * cols * w],
+            rows,
+            k,
+            cols,
+            w,
+            &self.dest_maps[idx],
+            self.bias.as_deref().filter(|_| last),
+            self.plan.stage_activation(idx),
+        )?;
         report.mults += stage.muls() * w as u64;
         report.adds += stage.muls() * w as u64;
         // Unlike the one-GEMM-per-batch sequential pass, a pipelined stage
@@ -988,6 +974,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use tie_tensor::init;
+    use tie_tensor::tile::Activation;
     use tie_tt::{TtMatrix, TtShape};
 
     fn engine(seed: u64, m: Vec<usize>, n: Vec<usize>, r: usize) -> CompactEngine<f64> {

@@ -65,23 +65,37 @@ impl InferencePlan {
     ///
     /// # Errors
     ///
-    /// Currently infallible for any valid [`TtShape`]; kept fallible for
-    /// forward compatibility with planner constraints.
+    /// Returns [`TensorError::InvalidArgument`] if a stage's multiply
+    /// count, or the total across stages, overflows `u64` — a layout can
+    /// be storable (every size [`TtShape::new`] checks fits `usize`) and
+    /// still describe more multiplications than a `u64` counts.
     pub fn new(shape: &TtShape) -> Result<Self> {
         let d = shape.ndim();
         if d == 0 {
             return Err(TensorError::EmptyShape);
         }
         let mut stages = Vec::with_capacity(d);
+        let mut total = 0u64;
         for h in (1..=d).rev() {
+            // Each factor is bounded by a size `TtShape::new` checked:
+            // `n_left·m_right ≤ N·M`, and the unfolded core dims by the
+            // per-core parameter count.
             let n_left: usize = shape.col_modes[..h - 1].iter().product();
             let m_right: usize = shape.row_modes[h..].iter().product();
-            stages.push(StagePlan {
+            let stage = StagePlan {
                 h,
                 gtilde_rows: shape.row_modes[h - 1] * shape.ranks[h - 1],
                 gtilde_cols: shape.col_modes[h - 1] * shape.ranks[h],
                 v_cols: n_left * m_right,
-            });
+            };
+            total = [stage.gtilde_rows, stage.gtilde_cols, stage.v_cols]
+                .iter()
+                .try_fold(1u64, |p, &f| p.checked_mul(f as u64))
+                .and_then(|muls| total.checked_add(muls))
+                .ok_or_else(|| TensorError::InvalidArgument {
+                    message: format!("{shape}: stage {h} multiply count overflows u64"),
+                })?;
+            stages.push(stage);
         }
         Ok(InferencePlan {
             shape: shape.clone(),
@@ -102,6 +116,18 @@ impl InferencePlan {
         self.activation
     }
 
+    /// The activation stage `idx` (execution order, `h = d` first) fuses
+    /// into its write epilogue: the plan's activation on the last stage
+    /// (`h = 1`), [`Activation::Identity`] everywhere else — only the
+    /// final stage's output pass runs the activation units.
+    pub fn stage_activation(&self, idx: usize) -> Activation {
+        if idx + 1 == self.stages.len() {
+            self.activation
+        } else {
+            Activation::Identity
+        }
+    }
+
     /// The layout this plan was built for.
     pub fn shape(&self) -> &TtShape {
         &self.shape
@@ -114,7 +140,8 @@ impl InferencePlan {
 
     /// Total multiplications across all stages — the compact-scheme count
     /// (agrees with [`crate::counts::mul_compact`] and with the executed
-    /// [`crate::scheme::CompactEngine`] counters; tested).
+    /// [`crate::scheme::CompactEngine`] counters; tested). Fits `u64` by
+    /// construction (see [`InferencePlan::new`]).
     pub fn total_muls(&self) -> u64 {
         self.stages.iter().map(StagePlan::muls).sum()
     }
@@ -250,6 +277,40 @@ mod tests {
     fn dense_equivalent_ops() {
         let p = InferencePlan::new(&fc7_shape()).unwrap();
         assert_eq!(p.dense_equivalent_ops(), 2 * 4096 * 4096);
+    }
+
+    #[test]
+    fn stage_activation_fires_on_the_last_stage_only() {
+        let p = InferencePlan::new(&fc7_shape()).unwrap();
+        let relu = p.clone().with_activation(Activation::Relu);
+        for idx in 0..6 {
+            assert_eq!(p.stage_activation(idx), Activation::Identity);
+            let want = if idx == 5 {
+                Activation::Relu
+            } else {
+                Activation::Identity
+            };
+            assert_eq!(relu.stage_activation(idx), want, "idx {idx}");
+        }
+    }
+
+    #[test]
+    fn multiply_count_overflow_is_an_error() {
+        // Storable (per-core 2^60, params 2^61, M·N 2^60 all fit usize)
+        // but stage h = 2 multiplies 2^45 × 2^15 × 2^15 = 2^75 times.
+        let s = TtShape::new(
+            vec![1 << 15, 1 << 15],
+            vec![1 << 15, 1 << 15],
+            vec![1, 1 << 30, 1],
+        )
+        .unwrap();
+        assert_eq!(s.num_params(), 1 << 61);
+        assert_eq!(s.dense_params(), 1 << 60);
+        let err = InferencePlan::new(&s).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+        // Control: the same modes at rank 1 plan fine.
+        let ok = TtShape::new(vec![1 << 15; 2], vec![1 << 15; 2], vec![1, 1, 1]).unwrap();
+        assert_eq!(InferencePlan::new(&ok).unwrap().total_muls(), 1 << 46);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::transform::{
     assemble_output_gather, copy_gather_batched, prepare_input_scatter, unfold_core, TransformMap,
 };
 use std::sync::Mutex;
-use tie_tensor::linalg::{gemm_into, gemm_into_mapped, gemm_into_mapped_fused, DestMap};
+use tie_tensor::linalg::{gemm_into, gemm_into_mapped, DestMap};
 use tie_tensor::tile::Activation;
 use tie_tensor::{Result, Scalar, Tensor, TensorError};
 use tie_tt::inference::OpCount;
@@ -71,10 +71,9 @@ pub struct CompactEngine<T: Scalar> {
     /// compiled from the inverted affine map.
     prep_plan: CopyPlan,
     /// Optional per-output-neuron bias (`M` elements), fused into the
-    /// final stage's write epilogue.
+    /// final stage's write epilogue. (The fused activation lives in
+    /// `plan`.)
     bias: Option<Vec<T>>,
-    /// Activation fused into the final stage's write epilogue.
-    activation: Activation,
     /// Ping-pong scratch buffers, grown on demand and reused across calls.
     workspace: Mutex<Workspace<T>>,
 }
@@ -109,7 +108,6 @@ impl<T: Scalar> Clone for CompactEngine<T> {
             dest_maps: self.dest_maps.clone(),
             prep_plan: self.prep_plan.clone(),
             bias: self.bias.clone(),
-            activation: self.activation,
             // Scratch is per-engine state, not semantic state: the clone
             // starts with an empty workspace and grows it on first use.
             workspace: Mutex::new(Workspace::default()),
@@ -176,7 +174,6 @@ impl<T: Scalar> CompactEngine<T> {
             dest_maps,
             prep_plan,
             bias: None,
-            activation: Activation::Identity,
             workspace: Mutex::new(Workspace::default()),
         })
     }
@@ -206,8 +203,7 @@ impl<T: Scalar> CompactEngine<T> {
     /// never as a separate pass.
     #[must_use]
     pub fn with_activation(mut self, activation: Activation) -> Self {
-        self.activation = activation;
-        self.plan = self.plan.clone().with_activation(activation);
+        self.plan = self.plan.with_activation(activation);
         self
     }
 
@@ -216,9 +212,9 @@ impl<T: Scalar> CompactEngine<T> {
         self.bias.as_deref()
     }
 
-    /// The fused final-stage activation.
+    /// The fused final-stage activation (read from the plan).
     pub fn activation(&self) -> Activation {
-        self.activation
+        self.plan.activation()
     }
 
     /// The underlying TT matrix.
@@ -458,34 +454,29 @@ impl<T: Scalar> CompactEngine<T> {
             let stage = &self.plan.stages()[idx];
             let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
             let a = self.gtildes[h - 1].data();
-            let map = &self.dest_maps[idx];
-            if h >= 2 {
-                gemm_into_mapped(
-                    a,
-                    &cur[..k * cols * b],
-                    &mut nxt[..rows * cols * b],
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    map,
-                )?;
-                std::mem::swap(&mut cur, &mut nxt);
+            // Stages h ≥ 2 scatter into the next stage's input; the final
+            // stage assembles straight into `ys`, with bias + activation
+            // fused into the same store — one write per element.
+            let last = h == 1;
+            let (out, bias) = if last {
+                (&mut *ys, self.bias.as_deref())
             } else {
-                // Final stage: bias + activation fuse into the same write
-                // loop that assembles the output — one store per element.
-                gemm_into_mapped_fused(
-                    a,
-                    &cur[..k * cols * b],
-                    ys,
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    map,
-                    self.bias.as_deref(),
-                    self.activation,
-                )?;
+                (&mut nxt[..rows * cols * b], None)
+            };
+            gemm_into_mapped(
+                a,
+                &cur[..k * cols * b],
+                out,
+                rows,
+                k,
+                cols,
+                b,
+                &self.dest_maps[idx],
+                bias,
+                self.plan.stage_activation(idx),
+            )?;
+            if !last {
+                std::mem::swap(&mut cur, &mut nxt);
             }
             // Arithmetic scales with the batch; each core is streamed from
             // weight memory once per stage and reused across all B columns
@@ -570,7 +561,8 @@ impl<T: Scalar> CompactEngine<T> {
         // The oracle applies bias + activation as the *separate* output
         // pass the fused epilogue eliminates — same scalar operations in
         // the same order, so the comparison stays bitwise.
-        if self.bias.is_some() || self.activation == Activation::Relu {
+        let relu = self.activation() == Activation::Relu;
+        if self.bias.is_some() || relu {
             let m = shape.num_rows();
             for o in 0..m {
                 for cb in 0..b {
@@ -578,7 +570,7 @@ impl<T: Scalar> CompactEngine<T> {
                     if let Some(bias) = &self.bias {
                         v += bias[o];
                     }
-                    if self.activation == Activation::Relu {
+                    if relu {
                         v = if v > T::ZERO { v } else { T::ZERO };
                     }
                     ys[o * b + cb] = v;

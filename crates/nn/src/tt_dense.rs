@@ -4,7 +4,7 @@ use tie_core::transform::{
     assemble_output_gather, fold_core, prepare_input_scatter, unfold_core, TransformMap,
 };
 use tie_core::{Activation, InferencePlan};
-use tie_tensor::linalg::{gemm_into_mapped, gemm_into_mapped_fused, matmul, matmul_nt, matmul_tn};
+use tie_tensor::linalg::{gemm_into_mapped, matmul, matmul_nt, matmul_tn};
 use tie_tensor::{Result, Tensor, TensorError};
 use tie_tt::{TtMatrix, TtShape};
 
@@ -147,47 +147,38 @@ pub fn tt_layer_forward_fused(
         }
     }
     let mut stage_inputs = Vec::with_capacity(d);
-    // Assembled element-major M × bsz output; transposed to [B, M] below.
-    let mut assembled = vec![0.0f32; m * bsz];
     for (idx, h) in (1..=d).rev().enumerate() {
         let stage = &plan.stages()[idx];
         let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
-        stage_inputs.push(v.clone());
-        if h >= 2 {
-            // The GEMM's write loop evaluates the composed Transform map:
-            // codes land directly in the next stage's V' layout.
-            let map = stage_dest_map(shape, h)?;
-            let next = &plan.stages()[idx + 1];
-            let mut out = Tensor::<f32>::zeros(vec![next.gtilde_cols, next.v_cols * bsz]);
-            gemm_into_mapped(
-                gtildes[h - 1].data(),
-                &v.data()[..k * cols * bsz],
-                out.data_mut(),
-                rows,
-                k,
-                cols,
-                bsz,
-                &map,
-            )?;
-            v = out;
-        } else {
-            // Final stage: bias + activation fuse into the same store that
-            // assembles the output.
-            let map = assemble_dest_map(shape)?;
-            gemm_into_mapped_fused(
-                gtildes[h - 1].data(),
-                &v.data()[..k * cols * bsz],
-                &mut assembled,
-                rows,
-                k,
-                cols,
-                bsz,
-                &map,
-                bias,
-                activation,
-            )?;
-        }
+        // Stages h ≥ 2 evaluate the composed Transform map in their write
+        // loop: codes land directly in the next stage's V' layout. The
+        // final stage assembles the element-major M × bsz output, with
+        // bias + activation fused into the same store.
+        let (map, out_dims, stage_bias) = match plan.stages().get(idx + 1) {
+            Some(next) => (
+                stage_dest_map(shape, h)?,
+                vec![next.gtilde_cols, next.v_cols * bsz],
+                None,
+            ),
+            None => (assemble_dest_map(shape)?, vec![m, bsz], bias),
+        };
+        let mut out = Tensor::<f32>::zeros(out_dims);
+        gemm_into_mapped(
+            gtildes[h - 1].data(),
+            &v.data()[..k * cols * bsz],
+            out.data_mut(),
+            rows,
+            k,
+            cols,
+            bsz,
+            &map,
+            stage_bias,
+            plan.stage_activation(idx),
+        )?;
+        stage_inputs.push(std::mem::replace(&mut v, out));
     }
+    // `v` now holds the assembled output; transpose it to [B, M].
+    let assembled = v.data();
     let mut y = Tensor::zeros(vec![bsz, m]);
     for b in 0..bsz {
         for o in 0..m {

@@ -9,8 +9,14 @@
 //!   configurable fraction bits),
 //! * [`QTensor`] — a quantized tensor with saturation-aware conversion,
 //! * [`Accumulator`] — the 24-bit saturating MAC register,
-//! * [`qmatmul`] — the quantized matrix multiply used by the bit-accurate
-//!   simulator, with saturation-event reporting,
+//! * [`qmatmul`] — the quantized matrix multiply, with saturation-event
+//!   reporting, over [`QTensor`]s; [`qmatmul_raw`] is the same kernel on
+//!   raw code slices,
+//! * [`qmatmul_raw_mapped`] — the one stage-GEMM entry the quantized
+//!   engines and the simulator's fast path call: the inter-stage
+//!   Transform is fused into the store through a `DestMap`, and the
+//!   final-stage activation is an argument that picks the requantization
+//!   epilogue (`Requant` or `RequantRelu`),
 //! * [`error_stats`] — quantization-error measurement helpers.
 //!
 //! # Example
@@ -48,7 +54,6 @@ pub use accumulator::Accumulator;
 pub use format::QFormat;
 pub use matmul::{
     alignment, qmatmul, qmatmul_into, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped,
-    qmatmul_raw_mapped_relu, qmatmul_raw_portable, qmatmul_raw_relu, qmatmul_raw_relu_portable,
     QMatmulReport, QuantPath,
 };
 pub use qtensor::QTensor;

@@ -36,20 +36,17 @@
 //!
 //! Epilogues ([`Requant`], [`RequantRelu`]) apply at the clipped `i32`
 //! code *before* narrowing, after both saturation counters have been
-//! taken — so [`qmatmul_raw_relu`] reports are bit-identical to
-//! requant-then-relu run separately.
+//! taken — so [`qmatmul_raw_mapped`] reports under
+//! [`Activation::Relu`] are bit-identical to requant-then-relu run
+//! separately.
 
 use crate::{Accumulator, QFormat, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::tile::{
-    stream_gemm, Datapath, Dest, Epilogue, IntAuto, Mapped, PortableTile, Requant, RequantRelu,
-    RowMajor, SatSink, TileKernel,
+    stream_gemm, Activation, Datapath, Dest, Epilogue, IntAuto, Mapped, Requant, RequantRelu,
+    RowMajor, SatSink,
 };
 use tie_tensor::{Result, TensorError};
-
-/// Portable column-tile width (vectorizes to 128-bit lanes) — the pinned
-/// instantiation behind [`qmatmul_raw_portable`].
-const QTILE_J: usize = 8;
 
 /// Saturation diagnostics of one quantized matrix multiply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -212,11 +209,11 @@ impl Datapath for QuantPath {
     }
 }
 
-/// Drives one quantized streaming GEMM and folds the saturation totals
-/// into a [`QMatmulReport`].
+/// Drives one quantized streaming GEMM on the dispatched tile kernel and
+/// folds the saturation totals into a [`QMatmulReport`]. Shape checks are
+/// [`stream_gemm`]'s `assert!`s.
 #[allow(clippy::too_many_arguments)]
-fn qmm_stream<K: TileKernel, D: Dest, E: Epilogue<i32>>(
-    kern: K,
+fn qmm_stream<D: Dest, E: Epilogue<i32>>(
     a: &[i16],
     b: &[i16],
     codes: &mut [i16],
@@ -231,7 +228,7 @@ fn qmm_stream<K: TileKernel, D: Dest, E: Epilogue<i32>>(
 ) -> QMatmulReport {
     let (acc_saturations, out_saturations) = stream_gemm(
         QuantPath::new(prod_shift, out_shift),
-        kern,
+        IntAuto,
         a,
         b,
         codes,
@@ -345,9 +342,8 @@ pub fn qmatmul_into(
 
 /// Raw-slice quantized GEMM: `codes = requant(A · B)` over `m×k · k×n`
 /// code matrices with explicit `prod_shift` / `out_shift` alignment (see
-/// [`alignment`]). This is the engine under [`qmatmul`] — the simulator's
-/// batched stage path and the quantized serving engine call it directly
-/// with their own stage alignment.
+/// [`alignment`]). This is the engine under [`qmatmul`]; the engines'
+/// stage GEMMs use its mapped twin [`qmatmul_raw_mapped`].
 ///
 /// # Panics
 ///
@@ -365,140 +361,17 @@ pub fn qmatmul_raw(
     out_shift: u32,
     codes: &mut [i16],
 ) -> QMatmulReport {
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×n");
-    assert_eq!(codes.len(), m * n, "C is m×n");
+    let dest = RowMajor::new(m, n);
     qmm_stream(
-        IntAuto,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n,
-        1,
-        prod_shift,
-        out_shift,
-        &RowMajor::new(m, n),
-        &Requant,
-    )
-}
-
-/// [`qmatmul_raw`] with ReLU fused into the requantization epilogue:
-/// `codes = max(requant(A · B), 0)`, applied at the clipped `i32` code
-/// before narrowing. Codes equal [`qmatmul_raw`]-then-`max(0)` and the
-/// saturation report is **bit-identical** to [`qmatmul_raw`]'s — both
-/// counters are taken before the epilogue runs.
-///
-/// # Panics
-///
-/// Panics (via `assert!`) on slice-length mismatches.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_relu(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-) -> QMatmulReport {
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×n");
-    assert_eq!(codes.len(), m * n, "C is m×n");
-    qmm_stream(
-        IntAuto,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n,
-        1,
-        prod_shift,
-        out_shift,
-        &RowMajor::new(m, n),
-        &RequantRelu,
-    )
-}
-
-/// [`qmatmul_raw`] pinned to the portable tile width, skipping the SIMD
-/// dispatch. The property suite compares it against the dispatched kernel
-/// and the naive reference to prove every tier computes the same codes and
-/// reports on this machine.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_portable(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-) -> QMatmulReport {
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×n");
-    assert_eq!(codes.len(), m * n, "C is m×n");
-    qmm_stream(
-        PortableTile::<QTILE_J, 1>,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n,
-        1,
-        prod_shift,
-        out_shift,
-        &RowMajor::new(m, n),
-        &Requant,
-    )
-}
-
-/// [`qmatmul_raw_relu`] pinned to the portable tile width, skipping the
-/// SIMD dispatch — the fused-ReLU twin of [`qmatmul_raw_portable`], for
-/// the differential lattice.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_relu_portable(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-) -> QMatmulReport {
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×n");
-    assert_eq!(codes.len(), m * n, "C is m×n");
-    qmm_stream(
-        PortableTile::<QTILE_J, 1>,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n,
-        1,
-        prod_shift,
-        out_shift,
-        &RowMajor::new(m, n),
-        &RequantRelu,
+        a, b, codes, m, k, n, 1, prod_shift, out_shift, &dest, &Requant,
     )
 }
 
 /// [`qmatmul_raw`] with a fused destination-map write epilogue — the
-/// quantized twin of `tie_tensor::linalg::gemm_into_mapped`, used by the
-/// quantized serving engine and the simulator's batched fast path to fold
-/// the inter-stage Transform into the store.
+/// quantized twin of `tie_tensor::linalg::gemm_into_mapped` and the
+/// quantized datapath's one mapped stage-GEMM entry, used by the quantized
+/// serving engine, the stage-pipeline chain and the simulator's batched
+/// fast path to fold the inter-stage Transform into the store.
 ///
 /// `b` is `k × (n_mat·bsz)` with logical columns batch-inner; output
 /// element `(i, q·bsz + cb)` lands at `(map.row[i] + map.col[q])·bsz + cb`
@@ -506,6 +379,12 @@ pub fn qmatmul_raw_relu_portable(
 /// order, same clamp points), only the final store is redirected, so codes
 /// *and* the saturation report are bit-identical to [`qmatmul_raw`]
 /// followed by a permutation, at any tile width and pool size.
+///
+/// `act` picks the requantization epilogue: [`Activation::Relu`] clamps
+/// the clipped `i32` code at zero before narrowing ([`RequantRelu`]).
+/// Both saturation counters are taken before the epilogue runs, so the
+/// report is the same for either activation and codes equal
+/// requant-then-`max(0)`.
 ///
 /// # Panics
 ///
@@ -523,73 +402,14 @@ pub fn qmatmul_raw_mapped(
     out_shift: u32,
     codes: &mut [i16],
     map: &DestMap,
+    act: Activation,
 ) -> QMatmulReport {
-    let n = n_mat * bsz;
-    assert!(bsz > 0, "batch width must be positive");
-    assert_eq!(map.rows(), m, "map rows are m");
-    assert_eq!(map.cols(), n_mat, "map cols are n_mat");
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×(n_mat·bsz)");
-    assert_eq!(codes.len(), m * n, "C is m×(n_mat·bsz)");
-    qmm_stream(
-        IntAuto,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n_mat,
-        bsz,
-        prod_shift,
-        out_shift,
-        &Mapped::new(map),
-        &Requant,
-    )
-}
-
-/// [`qmatmul_raw_mapped`] with ReLU fused into the requantization epilogue
-/// (see [`qmatmul_raw_relu`]) — the quantized engines' final-stage path,
-/// which folds the inter-stage Transform *and* the activation into one
-/// store loop. Report bit-identical to [`qmatmul_raw_mapped`]'s.
-///
-/// # Panics
-///
-/// Panics (via `assert!`) on slice-length / map-extent mismatches.
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn qmatmul_raw_mapped_relu(
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n_mat: usize,
-    bsz: usize,
-    prod_shift: u32,
-    out_shift: u32,
-    codes: &mut [i16],
-    map: &DestMap,
-) -> QMatmulReport {
-    let n = n_mat * bsz;
-    assert!(bsz > 0, "batch width must be positive");
-    assert_eq!(map.rows(), m, "map rows are m");
-    assert_eq!(map.cols(), n_mat, "map cols are n_mat");
-    assert_eq!(a.len(), m * k, "A is m×k");
-    assert_eq!(b.len(), k * n, "B is k×(n_mat·bsz)");
-    assert_eq!(codes.len(), m * n, "C is m×(n_mat·bsz)");
-    qmm_stream(
-        IntAuto,
-        a,
-        b,
-        codes,
-        m,
-        k,
-        n_mat,
-        bsz,
-        prod_shift,
-        out_shift,
-        &Mapped::new(map),
-        &RequantRelu,
-    )
+    let dest = Mapped::new(map);
+    let (ps, os) = (prod_shift, out_shift);
+    match act {
+        Activation::Identity => qmm_stream(a, b, codes, m, k, n_mat, bsz, ps, os, &dest, &Requant),
+        Activation::Relu => qmm_stream(a, b, codes, m, k, n_mat, bsz, ps, os, &dest, &RequantRelu),
+    }
 }
 
 /// Reference kernel with the naive per-output loop, kept for equivalence
@@ -636,6 +456,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use tie_tensor::tile::{PortableTile, TileKernel};
     use tie_tensor::{init, linalg::matmul, Tensor};
 
     #[test]
@@ -737,6 +558,45 @@ mod tests {
         assert!(qmatmul_into(&qa, &qb, out_fmt, &mut short).is_err());
     }
 
+    /// The portable integer tile width, pinned past the SIMD dispatch.
+    const PORTABLE: PortableTile<8, 1> = PortableTile;
+
+    /// A row-major quantized GEMM on an explicit tile kernel and
+    /// epilogue, reached through the streaming stage with [`QuantPath`].
+    #[allow(clippy::too_many_arguments)]
+    fn raw_stream<K: TileKernel, E: Epilogue<i32>>(
+        kern: K,
+        a: &[i16],
+        b: &[i16],
+        m: usize,
+        k: usize,
+        n: usize,
+        ps: u32,
+        os: u32,
+        codes: &mut [i16],
+        epi: &E,
+    ) -> QMatmulReport {
+        let dest = RowMajor::new(m, n);
+        let (acc_saturations, out_saturations) = stream_gemm(
+            QuantPath::new(ps, os),
+            kern,
+            a,
+            b,
+            codes,
+            m,
+            k,
+            n,
+            1,
+            &dest,
+            epi,
+        );
+        QMatmulReport {
+            acc_saturations,
+            out_saturations,
+            outputs: (m * n) as u64,
+        }
+    }
+
     #[test]
     fn portable_tile_matches_dispatched_kernel() {
         // Same body, different tile width: must be bit-identical.
@@ -750,7 +610,8 @@ mod tests {
         let mut c1 = vec![0i16; 11 * 19];
         let mut c2 = vec![0i16; 11 * 19];
         let r1 = qmatmul_raw(qa.codes(), qb.codes(), 11, 17, 19, ps, os, &mut c1);
-        let r2 = qmatmul_raw_portable(qa.codes(), qb.codes(), 11, 17, 19, ps, os, &mut c2);
+        let (qa, qb) = (qa.codes(), qb.codes());
+        let r2 = raw_stream(PORTABLE, qa, qb, 11, 17, 19, ps, os, &mut c2, &Requant);
         assert_eq!(c1, c2);
         assert_eq!(r1, r2);
     }
@@ -774,8 +635,13 @@ mod tests {
             "test inputs failed to saturate"
         );
         let want: Vec<i16> = plain.iter().map(|&v| v.max(0)).collect();
+        let (qa, qb) = (qa.codes(), qb.codes());
         let mut fused = vec![0i16; m * n];
-        let r_fused = qmatmul_raw_relu(qa.codes(), qb.codes(), m, k, n, ps, os, &mut fused);
+        let r_fused = raw_stream(IntAuto, qa, qb, m, k, n, ps, os, &mut fused, &RequantRelu);
+        assert_eq!(fused, want);
+        assert_eq!(r_fused, r_plain);
+        let mut fused = vec![0i16; m * n];
+        let r_fused = raw_stream(PORTABLE, qa, qb, m, k, n, ps, os, &mut fused, &RequantRelu);
         assert_eq!(fused, want);
         assert_eq!(r_fused, r_plain);
     }
@@ -821,41 +687,32 @@ mod tests {
                     }
                 }
                 for threads in [1usize, 2, 8] {
-                    let prev = tie_tensor::parallel::set_num_threads(threads);
-                    let mut got = vec![0i16; m * n_mat * bsz];
-                    let r = qmatmul_raw_mapped(
-                        qa.codes(),
-                        qb.codes(),
-                        m,
-                        k,
-                        n_mat,
-                        bsz,
-                        ps,
-                        os,
-                        &mut got,
-                        &map,
-                    );
-                    tie_tensor::parallel::set_num_threads(prev);
-                    assert_eq!(got, want, "{name} bsz={bsz} threads={threads}");
-                    assert_eq!(r, r_plain, "{name} bsz={bsz} threads={threads}");
-                    // The fused-ReLU mapped variant: same report, relu'd
-                    // codes.
-                    let mut got_relu = vec![0i16; m * n_mat * bsz];
-                    let rr = qmatmul_raw_mapped_relu(
-                        qa.codes(),
-                        qb.codes(),
-                        m,
-                        k,
-                        n_mat,
-                        bsz,
-                        ps,
-                        os,
-                        &mut got_relu,
-                        &map,
-                    );
-                    let want_relu: Vec<i16> = want.iter().map(|&v| v.max(0)).collect();
-                    assert_eq!(got_relu, want_relu, "{name} bsz={bsz}");
-                    assert_eq!(rr, r_plain, "{name} bsz={bsz}");
+                    for act in [Activation::Identity, Activation::Relu] {
+                        let prev = tie_tensor::parallel::set_num_threads(threads);
+                        let mut got = vec![0i16; m * n_mat * bsz];
+                        let r = qmatmul_raw_mapped(
+                            qa.codes(),
+                            qb.codes(),
+                            m,
+                            k,
+                            n_mat,
+                            bsz,
+                            ps,
+                            os,
+                            &mut got,
+                            &map,
+                            act,
+                        );
+                        tie_tensor::parallel::set_num_threads(prev);
+                        // ReLU: same report, relu'd codes.
+                        let want_act: Vec<i16> = match act {
+                            Activation::Identity => want.clone(),
+                            Activation::Relu => want.iter().map(|&v| v.max(0)).collect(),
+                        };
+                        let ctx = format!("{name} {act:?} bsz={bsz} threads={threads}");
+                        assert_eq!(got, want_act, "{ctx}");
+                        assert_eq!(r, r_plain, "{ctx}");
+                    }
                 }
             }
         }

@@ -7,7 +7,7 @@ use crate::sram::{WeightSram, WorkingSram};
 use crate::stats::{RunStats, StageStats};
 use tie_core::indexmap::stage_transform_map;
 use tie_core::transform::{assemble_output, prepare_input, TransformMap};
-use tie_core::{CompactEngine, InferencePlan};
+use tie_core::{Activation, CompactEngine, InferencePlan};
 use tie_quant::{qmatmul_raw_mapped, QFormat, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::{Result, Tensor, TensorError};
@@ -633,6 +633,15 @@ impl TieAccelerator {
                     Some(_) => batched_stage_dest_map(shape, h, batch)?,
                     None => DestMap::identity(gr, vc_total),
                 };
+                // The walk clamps each code before its store; the fused
+                // `RequantRelu` epilogue clamps the same clipped code
+                // after both saturation counters are taken, so codes and
+                // report match the walk bit for bit.
+                let act = if apply_relu {
+                    Activation::Relu
+                } else {
+                    Activation::Identity
+                };
                 let report = qmatmul_raw_mapped(
                     weight_sram.cores()[core_idx].codes(),
                     src.contents(),
@@ -644,17 +653,8 @@ impl TieAccelerator {
                     out_shift,
                     dst.contents_mut(),
                     &dmap,
+                    act,
                 );
-                if apply_relu {
-                    // The walk clamps each code before its store; clamping
-                    // the fully written matrix afterwards is bit-identical
-                    // because the map writes every destination exactly once.
-                    for v in dst.contents_mut() {
-                        if *v < 0 {
-                            *v = 0;
-                        }
-                    }
-                }
                 // Traffic the walk would generate: one weight word per
                 // (row_tile, pe_tile, gcol) broadcast, one element read
                 // per live V' operand. The gathers are same-row

@@ -23,7 +23,7 @@ use crate::config::QuantConfig;
 use std::sync::Mutex;
 use tie_core::indexmap::{assemble_dest_map, prepare_copy_plan, stage_dest_map, CopyPlan};
 use tie_core::{Activation, CompactEngine, InferencePlan};
-use tie_quant::{qmatmul_raw_mapped, qmatmul_raw_mapped_relu, QFormat, QMatmulReport, QTensor};
+use tie_quant::{qmatmul_raw_mapped, QFormat, QMatmulReport, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::{Result, TensorError};
 use tie_tt::{TtMatrix, TtShape};
@@ -66,10 +66,6 @@ pub struct QuantizedEngine {
     dest_maps: Vec<DestMap>,
     /// Minimal block-copy plan for the input layout (Eqn. (8)).
     prep_plan: CopyPlan,
-    /// Activation fused into the final stage's requantization epilogue —
-    /// applied to the clipped 32-bit code before narrowing, exactly like
-    /// the TIE PE's output pass. Saturation reports are unchanged by it.
-    activation: Activation,
     /// Ping-pong code scratch, grown on demand and reused across calls.
     workspace: Mutex<QWorkspace>,
 }
@@ -91,7 +87,6 @@ impl Clone for QuantizedEngine {
             stage_formats: self.stage_formats.clone(),
             dest_maps: self.dest_maps.clone(),
             prep_plan: self.prep_plan.clone(),
-            activation: self.activation,
             // Scratch is per-engine state, not semantic state.
             workspace: Mutex::new(QWorkspace::default()),
         }
@@ -188,25 +183,24 @@ impl QuantizedEngine {
             stage_formats,
             dest_maps,
             prep_plan,
-            activation: Activation::Identity,
             workspace: Mutex::new(QWorkspace::default()),
         })
     }
 
     /// Selects the activation fused into the final stage's requantization
-    /// epilogue (builder style). ReLU applies to the clipped 32-bit code
-    /// before narrowing, so the saturation report is bit-identical to the
-    /// unfused engine's.
+    /// epilogue (builder style), recorded in the plan. ReLU applies to
+    /// the clipped 32-bit code before narrowing — exactly like the TIE
+    /// PE's output pass — so the saturation report is bit-identical to
+    /// the unfused engine's.
     #[must_use]
     pub fn with_activation(mut self, activation: Activation) -> Self {
-        self.activation = activation;
-        self.plan = self.plan.clone().with_activation(activation);
+        self.plan = self.plan.with_activation(activation);
         self
     }
 
-    /// The fused final-stage activation.
+    /// The fused final-stage activation (read from the plan).
     pub fn activation(&self) -> Activation {
-        self.activation
+        self.plan.activation()
     }
 
     /// The layer's TT layout.
@@ -354,36 +348,22 @@ impl QuantizedEngine {
             // codes land directly in the next stage's layout and the
             // separate permutation pass of the legacy pipeline is gone.
             let out_elems = rows * cols * b;
-            // The final stage (h = 1) additionally fuses the activation
-            // into the requantization epilogue — no separate pass over
-            // the assembled codes.
-            let stage_report = if h == 1 && self.activation == Activation::Relu {
-                qmatmul_raw_mapped_relu(
-                    self.cores[h - 1].codes(),
-                    &cur[..k * cols * b],
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    prod_shift,
-                    out_shift,
-                    &mut nxt[..out_elems],
-                    &self.dest_maps[idx],
-                )
-            } else {
-                qmatmul_raw_mapped(
-                    self.cores[h - 1].codes(),
-                    &cur[..k * cols * b],
-                    rows,
-                    k,
-                    cols,
-                    b,
-                    prod_shift,
-                    out_shift,
-                    &mut nxt[..out_elems],
-                    &self.dest_maps[idx],
-                )
-            };
+            // The final stage (h = 1) additionally fuses the plan's
+            // activation into the requantization epilogue — no separate
+            // pass over the assembled codes.
+            let stage_report = qmatmul_raw_mapped(
+                self.cores[h - 1].codes(),
+                &cur[..k * cols * b],
+                rows,
+                k,
+                cols,
+                b,
+                prod_shift,
+                out_shift,
+                &mut nxt[..out_elems],
+                &self.dest_maps[idx],
+                self.plan.stage_activation(idx),
+            );
             report = report.merged(&stage_report);
             std::mem::swap(&mut cur, &mut nxt);
             in_format = out_format;

@@ -17,10 +17,8 @@
 use tie_core::pipeline::{
     FloatChain, PipeRunStats, PipelineConfig, StageChain, StageCounterSnapshot, StagePipeline,
 };
-use tie_core::{Activation, CompactEngine, CutPlan, InferencePlan};
-use tie_quant::{
-    alignment, qmatmul_raw_mapped, qmatmul_raw_mapped_relu, QFormat, QMatmulReport, QTensor,
-};
+use tie_core::{CompactEngine, CutPlan, InferencePlan};
+use tie_quant::{alignment, qmatmul_raw_mapped, QFormat, QMatmulReport, QTensor};
 use tie_tensor::linalg::DestMap;
 use tie_tensor::Result;
 use tie_tt::inference::OpCount;
@@ -44,9 +42,6 @@ pub struct QuantChain {
     output_format: QFormat,
     rows: usize,
     cols: usize,
-    /// Final-stage fused activation, copied from the engine — applied
-    /// inside the last stage's requantization epilogue at any cut.
-    activation: Activation,
 }
 
 impl QuantChain {
@@ -81,7 +76,6 @@ impl QuantChain {
             output_format: *engine.stage_formats().last().expect("d >= 1"),
             rows: engine.num_rows(),
             cols: engine.num_cols(),
-            activation: engine.activation(),
             plan,
         })
     }
@@ -130,34 +124,21 @@ impl StageChain for QuantChain {
         let stage = &self.plan.stages()[idx];
         let (rows, k, cols) = (stage.gtilde_rows, stage.gtilde_cols, stage.v_cols);
         let (prod_shift, out_shift) = self.shifts[idx];
-        let last = idx + 1 == self.plan.stages().len();
-        let stage_report = if last && self.activation == Activation::Relu {
-            qmatmul_raw_mapped_relu(
-                self.cores[stage.h - 1].codes(),
-                &input[..k * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                prod_shift,
-                out_shift,
-                &mut output[..rows * cols * w],
-                &self.dest_maps[idx],
-            )
-        } else {
-            qmatmul_raw_mapped(
-                self.cores[stage.h - 1].codes(),
-                &input[..k * cols * w],
-                rows,
-                k,
-                cols,
-                w,
-                prod_shift,
-                out_shift,
-                &mut output[..rows * cols * w],
-                &self.dest_maps[idx],
-            )
-        };
+        // The plan's activation rides the last stage's requantization
+        // epilogue at any cut.
+        let stage_report = qmatmul_raw_mapped(
+            self.cores[stage.h - 1].codes(),
+            &input[..k * cols * w],
+            rows,
+            k,
+            cols,
+            w,
+            prod_shift,
+            out_shift,
+            &mut output[..rows * cols * w],
+            &self.dest_maps[idx],
+            self.plan.stage_activation(idx),
+        );
         *report = report.merged(&stage_report);
         Ok(())
     }

@@ -1128,8 +1128,9 @@ impl<T: Scalar, K: TileKernel> StageMatmul for KBlockStage<'_, T, K> {
 }
 
 /// Cache/k-blocked `C += A · B` (row-major, `c` pre-zeroed by the caller)
-/// — the [`crate::linalg::gemm_into`] engine. No epilogue by design: see
-/// [`KBlockJob`].
+/// — the [`crate::linalg::gemm_into`] engine. No epilogue by design:
+/// mid-k partial sums round-trip through `C`, and an epilogue must only
+/// ever see final sums.
 pub fn kblocked_gemm<T: Scalar, K: TileKernel>(
     kern: K,
     a: &[T],

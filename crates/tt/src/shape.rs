@@ -43,8 +43,10 @@ impl TtShape {
     ///
     /// Returns [`TensorError::InvalidArgument`] if the mode lists are empty
     /// or of different length, if `ranks.len() != d + 1`, if any entry is
-    /// zero, if the boundary ranks are not 1, or if `M = ∏ m_k` or
-    /// `N = ∏ n_k` overflows `usize`.
+    /// zero, if the boundary ranks are not 1, or if `M = ∏ m_k`,
+    /// `N = ∏ n_k`, `M·N`, a core's size `r_{k-1} m_k n_k r_k` or the
+    /// parameter total overflows `usize` — so every size accessor below
+    /// is exact.
     pub fn new(row_modes: Vec<usize>, col_modes: Vec<usize>, ranks: Vec<usize>) -> Result<Self> {
         let d = row_modes.len();
         if d == 0 {
@@ -80,17 +82,22 @@ impl TtShape {
                 ),
             });
         }
-        for (side, modes) in [("row", &row_modes), ("column", &col_modes)] {
-            if modes
-                .iter()
-                .try_fold(1usize, |p, &m| p.checked_mul(m))
-                .is_none()
-            {
-                return Err(TensorError::InvalidArgument {
-                    message: format!("{side} mode product {modes:?} overflows usize"),
-                });
-            }
-        }
+        let product = |xs: &[usize]| xs.iter().try_fold(1usize, |p, &x| p.checked_mul(x));
+        let overflow = |what: String| TensorError::InvalidArgument {
+            message: format!("{what} overflows usize"),
+        };
+        let rows = product(&row_modes)
+            .ok_or_else(|| overflow(format!("row mode product {row_modes:?}")))?;
+        let cols = product(&col_modes)
+            .ok_or_else(|| overflow(format!("column mode product {col_modes:?}")))?;
+        rows.checked_mul(cols)
+            .ok_or_else(|| overflow(format!("dense size {rows} x {cols}")))?;
+        (0..d)
+            .try_fold(0usize, |sum, k| {
+                product(&[ranks[k], row_modes[k], col_modes[k], ranks[k + 1]])
+                    .and_then(|core| sum.checked_add(core))
+            })
+            .ok_or_else(|| overflow(format!("core size total of ranks {ranks:?}")))?;
         Ok(TtShape {
             row_modes,
             col_modes,
@@ -212,7 +219,16 @@ mod tests {
         let huge = 1usize << (usize::BITS / 2);
         assert!(TtShape::new(vec![huge, huge], vec![2, 2], vec![1, 4, 1]).is_err());
         assert!(TtShape::new(vec![2, 2], vec![huge, huge], vec![1, 4, 1]).is_err());
-        assert!(TtShape::new(vec![huge, huge / 2], vec![2, 2], vec![1, 4, 1]).is_ok());
+        // M = 2^63 fits, but M·N = 2^65 does not.
+        assert!(TtShape::new(vec![huge, huge / 2], vec![2, 2], vec![1, 4, 1]).is_err());
+        assert!(TtShape::new(vec![huge, huge / 2], vec![1, 1], vec![1, 4, 1]).is_ok());
+        // Per-core size r0·m1·n1·r1 = 2·2·2^63 overflows though M·N fits.
+        assert!(TtShape::new(vec![2, 2], vec![2, 2], vec![1, 1 << 63, 1]).is_err());
+        // Rank r: each core is 4r = 2^62, the total 2^63 fits. Rank 2r:
+        // each core 2^63 still fits, but the total 2^64 does not.
+        let r = 1usize << 60;
+        assert!(TtShape::new(vec![2, 2], vec![2, 2], vec![1, r, 1]).is_ok());
+        assert!(TtShape::new(vec![2, 2], vec![2, 2], vec![1, 2 * r, 1]).is_err());
     }
 
     #[test]

@@ -21,6 +21,14 @@ cargo build --release --workspace "${CARGO_FLAGS[@]}"
 echo "== tier-1: clippy, -D warnings =="
 cargo clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
 
+# Rustdoc over the first-party packages only: a doc link left dangling by
+# a renamed or deleted item fails here. The vendored stand-ins are left
+# out (proptest carries warnings of its own).
+echo "== tier-1: rustdoc, -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${CARGO_FLAGS[@]}" \
+  -p tie -p tie-tensor -p tie-tt -p tie-core -p tie-quant -p tie-nn -p tie-sim \
+  -p tie-energy -p tie-baselines -p tie-workloads -p tie-serve -p tie-bench
+
 echo "== tier-1: tests, TIE_THREADS=1 (serial) =="
 TIE_THREADS=1 cargo test -q --workspace "${CARGO_FLAGS[@]}"
 

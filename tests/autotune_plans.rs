@@ -270,22 +270,31 @@ fn overflowing_mode_products_are_rejected_at_parse_time() {
     let Some(Value::Object(plan)) = fixture.get("tuned").cloned() else {
         panic!("tuned plan is an object");
     };
-    let with_modes = |key: &str, lead: u64| {
+    // Overwrites entries `at` of the array field `key`.
+    let with_entries = |key: &str, at: std::ops::Range<usize>, value: u64| {
         let mut plan = plan.clone();
         let modes = plan.iter_mut().find(|(k, _)| k == key).unwrap();
         let Value::Array(items) = &mut modes.1 else {
             panic!("{key} is an array");
         };
-        items[0] = Value::UInt(lead);
-        items[1] = Value::UInt(lead);
+        for item in &mut items[at] {
+            *item = Value::UInt(value);
+        }
         serde_json::to_string(&Value::Array(vec![Value::Object(plan)])).unwrap()
     };
     // Control: the same edit with in-range modes still parses.
-    assert!(plans_from_json(&with_modes("row_modes", 4)).is_ok());
+    assert!(plans_from_json(&with_entries("row_modes", 0..2, 4)).is_ok());
     for key in ["row_modes", "col_modes"] {
-        let err = plans_from_json(&with_modes(key, 1 << 32)).unwrap_err();
+        let err = plans_from_json(&with_entries(key, 0..2, 1 << 32)).unwrap_err();
         assert!(err.to_string().contains("overflows"), "{key}: {err}");
     }
+    // Interior ranks of 2^40: the mode products fit, but a core's
+    // r_{k-1}·m_k·n_k·r_k does not, so every size the plan would later
+    // multiply out is rejected here rather than overflowing downstream.
+    // Control: in-range interior ranks still parse.
+    assert!(plans_from_json(&with_entries("ranks", 1..4, 8)).is_ok());
+    let err = plans_from_json(&with_entries("ranks", 1..4, 1 << 40)).unwrap_err();
+    assert!(err.to_string().contains("overflow"), "ranks: {err}");
 }
 
 /// Re-runs the pinned search and demands the committed fixture bytes —

@@ -13,6 +13,13 @@
 //!   RequantRelu} × {row-major, permuted `DestMap`} × pool {1, 8}, with
 //!   saturation reports compared exactly.
 //!
+//! The dispatched mapped cases go through the public stage-GEMM entries
+//! (`gemm_into_mapped`, `qmatmul_raw_mapped`), which pick the epilogue
+//! from their `(bias, act)` / `act` arguments; every other triple goes
+//! straight through `tile::stream_gemm` with an explicit kernel,
+//! destination and epilogue.
+
+//!
 //! Shapes include the degenerate corners (`m = 1`, `k = 1`, single
 //! element) and tile-remainder edges straddling the 8/16/32 SIMD lane
 //! widths, where ragged-tail handling historically hides bugs.
@@ -20,15 +27,19 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tie::quant::{
-    alignment, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped, qmatmul_raw_mapped_relu,
-    qmatmul_raw_relu, qmatmul_raw_relu_portable, QFormat, QTensor,
+    alignment, qmatmul_naive, qmatmul_raw, qmatmul_raw_mapped, QFormat, QMatmulReport, QTensor,
+    QuantPath,
 };
-use tie::tensor::linalg::{gemm_into_fused, gemm_into_mapped_fused, DestMap};
+use tie::tensor::linalg::{gemm_into_mapped, DestMap};
 use tie::tensor::tile::{
-    stream_gemm, Activation, Bias, BiasRelu, FloatPath, Identity, Mapped, PortableTile, Relu,
-    RowMajor,
+    stream_gemm, Activation, Bias, BiasRelu, Dest, FloatAuto, FloatPath, Identity, IntAuto, Mapped,
+    PortableTile, Relu, Requant, RequantRelu, RowMajor, TileKernel,
 };
 use tie::tensor::{init, parallel, Tensor};
+
+/// The forced-portable tile kernel (8 lanes, one row), pinned past the
+/// SIMD dispatch.
+const PORTABLE: PortableTile<8, 1> = PortableTile;
 
 /// Shapes covering the degenerate corners and the SIMD-lane remainder
 /// edges (lane widths are 32/16/8 for f64 AVX-512/AVX2/portable tiles).
@@ -102,9 +113,42 @@ fn oracle_f64(
     scattered
 }
 
+/// One float streaming GEMM on an explicit tile kernel and destination,
+/// with the epilogue instantiation `(bias, act)` names.
+#[allow(clippy::too_many_arguments)]
+fn float_stream<K: TileKernel, D: Dest>(
+    kern: K,
+    dest: &D,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    (m, k, n_mat, bsz): (usize, usize, usize, usize),
+    bias: Option<&[f64]>,
+    act: Activation,
+) {
+    let path = FloatPath::<f64>::new();
+    match (bias, act) {
+        (None, Activation::Identity) => {
+            stream_gemm(path, kern, a, b, c, m, k, n_mat, bsz, dest, &Identity);
+        }
+        (None, Activation::Relu) => {
+            stream_gemm(path, kern, a, b, c, m, k, n_mat, bsz, dest, &Relu);
+        }
+        (Some(bias), Activation::Identity) => {
+            let epi = Bias::new(bias);
+            stream_gemm(path, kern, a, b, c, m, k, n_mat, bsz, dest, &epi);
+        }
+        (Some(bias), Activation::Relu) => {
+            let epi = BiasRelu::new(bias);
+            stream_gemm(path, kern, a, b, c, m, k, n_mat, bsz, dest, &epi);
+        }
+    }
+}
+
 /// Runs the float lattice for one shape at one pool size: both kernels
-/// (dispatched via the public fused entry points, forced-portable via
-/// `stream_gemm`) × all four epilogues × all three destinations.
+/// (dispatched, forced-portable) × all four epilogues × all three
+/// destinations. The dispatched mapped cases use the public
+/// `gemm_into_mapped`; the rest run `stream_gemm` directly.
 fn float_lattice(m: usize, k: usize, n_mat: usize, bsz: usize, seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let a: Tensor<f64> = init::uniform(&mut rng, vec![m, k], 1.0);
@@ -112,89 +156,26 @@ fn float_lattice(m: usize, k: usize, n_mat: usize, bsz: usize, seed: u64) {
     let bias: Vec<f64> = (0..m * n_mat).map(|e| (e as f64 - 3.0) * 0.25).collect();
     let identity = DestMap::identity(m, n_mat);
     let permuted = permuted_map(m, n_mat);
+    let (a, b) = (a.data(), b.data());
+    let dims = (m, k, n_mat, bsz);
+    let row_major = RowMajor::new(m, n_mat);
 
     for act in [Activation::Identity, Activation::Relu] {
         for with_bias in [false, true] {
             let bias_opt = with_bias.then_some(&bias[..]);
             for (map, mapped) in [(&identity, false), (&identity, true), (&permuted, true)] {
-                let want = oracle_f64(a.data(), b.data(), m, k, n_mat, bsz, map, bias_opt, act);
-
-                // Dispatched kernel through the public fused entry points.
+                let want = oracle_f64(a, b, m, k, n_mat, bsz, map, bias_opt, act);
                 let mut got = vec![0.0f64; m * n_mat * bsz];
+                let mut port = vec![0.0f64; m * n_mat * bsz];
                 if mapped {
-                    gemm_into_mapped_fused(
-                        a.data(),
-                        b.data(),
-                        &mut got,
-                        m,
-                        k,
-                        n_mat,
-                        bsz,
-                        map,
-                        bias_opt,
-                        act,
-                    )
-                    .unwrap();
+                    gemm_into_mapped(a, b, &mut got, m, k, n_mat, bsz, map, bias_opt, act).unwrap();
+                    let dest = Mapped::new(map);
+                    float_stream(PORTABLE, &dest, a, b, &mut port, dims, bias_opt, act);
                 } else {
-                    gemm_into_fused(
-                        a.data(),
-                        b.data(),
-                        &mut got,
-                        m,
-                        k,
-                        n_mat,
-                        bsz,
-                        bias_opt,
-                        act,
-                    )
-                    .unwrap();
+                    float_stream(FloatAuto, &row_major, a, b, &mut got, dims, bias_opt, act);
+                    float_stream(PORTABLE, &row_major, a, b, &mut port, dims, bias_opt, act);
                 }
                 assert_bits_eq(&got, &want, "dispatched", act, with_bias, mapped);
-
-                // Forced-portable kernel straight through the streaming
-                // stage, exercising every epilogue type explicitly.
-                let mut port = vec![0.0f64; m * n_mat * bsz];
-                let path = FloatPath::<f64>::new();
-                let kern = PortableTile::<8, 1>;
-                macro_rules! run_portable {
-                    ($epi:expr) => {
-                        if mapped {
-                            stream_gemm(
-                                path,
-                                kern,
-                                a.data(),
-                                b.data(),
-                                &mut port,
-                                m,
-                                k,
-                                n_mat,
-                                bsz,
-                                &Mapped::new(map),
-                                $epi,
-                            )
-                        } else {
-                            stream_gemm(
-                                path,
-                                kern,
-                                a.data(),
-                                b.data(),
-                                &mut port,
-                                m,
-                                k,
-                                n_mat,
-                                bsz,
-                                &RowMajor::new(m, n_mat),
-                                $epi,
-                            )
-                        }
-                    };
-                }
-                match (with_bias, act) {
-                    (false, Activation::Identity) => run_portable!(&Identity),
-                    (false, Activation::Relu) => run_portable!(&Relu),
-                    (true, Activation::Identity) => run_portable!(&Bias::new(&bias)),
-                    (true, Activation::Relu) => run_portable!(&BiasRelu::new(&bias)),
-                }
                 assert_bits_eq(&port, &want, "portable", act, with_bias, mapped);
             }
         }
@@ -259,9 +240,39 @@ fn heavy_codes(len: usize, seed: u64) -> Vec<i16> {
         .collect()
 }
 
-/// Quantized lattice for one shape at the current pool size: the raw
-/// kernels (dispatched and forced-portable; plain and relu; row-major and
-/// mapped) against naive-then-scatter-then-relu, codes and reports exact.
+/// One quantized streaming GEMM on an explicit tile kernel and
+/// destination, with the requantization epilogue `act` names.
+#[allow(clippy::too_many_arguments)]
+fn quant_stream<K: TileKernel, D: Dest>(
+    kern: K,
+    dest: &D,
+    a: &[i16],
+    b: &[i16],
+    codes: &mut [i16],
+    (m, k, n_mat): (usize, usize, usize),
+    (prod_shift, out_shift): (u32, u32),
+    act: Activation,
+) -> QMatmulReport {
+    let path = QuantPath::new(prod_shift, out_shift);
+    let (acc_saturations, out_saturations) = match act {
+        Activation::Identity => {
+            stream_gemm(path, kern, a, b, codes, m, k, n_mat, 1, dest, &Requant)
+        }
+        Activation::Relu => {
+            stream_gemm(path, kern, a, b, codes, m, k, n_mat, 1, dest, &RequantRelu)
+        }
+    };
+    QMatmulReport {
+        acc_saturations,
+        out_saturations,
+        outputs: (m * n_mat) as u64,
+    }
+}
+
+/// Quantized lattice for one shape at the current pool size: dispatched
+/// and forced-portable kernels × {Requant, RequantRelu} × {row-major,
+/// permuted map} against naive-then-scatter-then-relu, codes and reports
+/// exact.
 fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     let a = QTensor::from_codes(
         vec![m, k],
@@ -276,7 +287,8 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     )
     .unwrap();
     let out = QFormat::new(14).unwrap();
-    let (prod_shift, out_shift) = alignment(a.format(), b.format(), out);
+    let shifts = alignment(a.format(), b.format(), out);
+    let (prod_shift, out_shift) = shifts;
 
     // Oracle: the retained naive kernel, then separate scatter and relu
     // passes on its codes. Its report must carry over unchanged — the
@@ -292,20 +304,12 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
         }
         s
     };
-    let relu = |codes: &[i16]| -> Vec<i16> { codes.iter().map(|&v| v.max(0)).collect() };
+    let (a, b) = (a.codes(), b.codes());
+    let dims = (m, k, n_mat);
 
-    // Row-major, plain and fused-relu, dispatched and portable.
+    // Row-major plain through the public raw entry.
     let mut got = vec![0i16; m * n_mat];
-    let r = qmatmul_raw(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        prod_shift,
-        out_shift,
-        &mut got,
-    );
+    let r = qmatmul_raw(a, b, m, k, n_mat, prod_shift, out_shift, &mut got);
     assert_eq!(
         &got[..],
         c_naive.codes(),
@@ -313,74 +317,36 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     );
     assert_eq!(r, r_naive, "raw vs naive report");
 
-    let r = qmatmul_raw_relu(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        prod_shift,
-        out_shift,
-        &mut got,
-    );
-    assert_eq!(
-        got,
-        relu(c_naive.codes()),
-        "fused relu vs naive-then-relu codes"
-    );
-    assert_eq!(r, r_naive, "fused relu must not perturb the report");
+    let row_major = RowMajor::new(m, n_mat);
+    let mapped = Mapped::new(&map);
+    for act in [Activation::Identity, Activation::Relu] {
+        let epilogue = |codes: Vec<i16>| -> Vec<i16> {
+            match act {
+                Activation::Identity => codes,
+                Activation::Relu => codes.into_iter().map(|v| v.max(0)).collect(),
+            }
+        };
+        let want_rm = epilogue(c_naive.codes().to_vec());
+        let want_map = epilogue(scatter(c_naive.codes()));
 
-    let r = qmatmul_raw_relu_portable(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        prod_shift,
-        out_shift,
-        &mut got,
-    );
-    assert_eq!(got, relu(c_naive.codes()), "portable fused relu codes");
-    assert_eq!(r, r_naive, "portable fused relu report");
+        // Row-major, dispatched and forced-portable.
+        let r = quant_stream(IntAuto, &row_major, a, b, &mut got, dims, shifts, act);
+        assert_eq!(got, want_rm, "row-major {act:?} vs naive codes");
+        assert_eq!(r, r_naive, "row-major {act:?} must not perturb the report");
+        let r = quant_stream(PORTABLE, &row_major, a, b, &mut got, dims, shifts, act);
+        assert_eq!(got, want_rm, "portable row-major {act:?} codes");
+        assert_eq!(r, r_naive, "portable row-major {act:?} report");
 
-    // Mapped (permuted), plain and fused-relu.
-    let r = qmatmul_raw_mapped(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        1,
-        prod_shift,
-        out_shift,
-        &mut got,
-        &map,
-    );
-    assert_eq!(
-        got,
-        scatter(c_naive.codes()),
-        "mapped vs naive-then-scatter codes"
-    );
-    assert_eq!(r, r_naive, "mapped report");
-
-    let r = qmatmul_raw_mapped_relu(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n_mat,
-        1,
-        prod_shift,
-        out_shift,
-        &mut got,
-        &map,
-    );
-    assert_eq!(
-        got,
-        relu(&scatter(c_naive.codes())),
-        "mapped fused relu vs naive-then-scatter-then-relu codes"
-    );
-    assert_eq!(r, r_naive, "mapped fused relu report");
+        // Mapped (permuted): the public entry, and forced-portable.
+        let r = qmatmul_raw_mapped(
+            a, b, m, k, n_mat, 1, prod_shift, out_shift, &mut got, &map, act,
+        );
+        assert_eq!(got, want_map, "mapped {act:?} vs naive-then-scatter codes");
+        assert_eq!(r, r_naive, "mapped {act:?} report");
+        let r = quant_stream(PORTABLE, &mapped, a, b, &mut got, dims, shifts, act);
+        assert_eq!(got, want_map, "portable mapped {act:?} codes");
+        assert_eq!(r, r_naive, "portable mapped {act:?} report");
+    }
 }
 
 #[test]

@@ -18,9 +18,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tie::prelude::*;
-use tie::quant::{
-    alignment, qmatmul, qmatmul_naive, qmatmul_raw, qmatmul_raw_portable, qmatmul_raw_relu,
-    qmatmul_raw_relu_portable,
+use tie::quant::{alignment, qmatmul, qmatmul_naive, qmatmul_raw, QMatmulReport, QuantPath};
+use tie::tensor::tile::{
+    stream_gemm, Activation, IntAuto, PortableTile, Requant, RequantRelu, RowMajor, TileKernel,
 };
 use tie::tensor::{init, parallel};
 
@@ -29,54 +29,64 @@ fn qt(rows: usize, cols: usize, codes: Vec<i16>, frac_bits: u32) -> QTensor {
     QTensor::from_codes(vec![rows, cols], codes, QFormat::new(frac_bits).unwrap()).unwrap()
 }
 
+/// A row-major quantized GEMM on an explicit tile kernel, with the
+/// requantization epilogue `act` names, straight through the streaming
+/// stage with [`QuantPath`].
+fn raw_stream<K: TileKernel>(
+    kern: K,
+    a: &QTensor,
+    b: &QTensor,
+    out: QFormat,
+    act: Activation,
+) -> (Vec<i16>, QMatmulReport) {
+    let (m, k) = (a.shape().dims()[0], a.shape().dims()[1]);
+    let n = b.shape().dims()[1];
+    let (prod_shift, out_shift) = alignment(a.format(), b.format(), out);
+    let path = QuantPath::new(prod_shift, out_shift);
+    let (a, b, dest) = (a.codes(), b.codes(), RowMajor::new(m, n));
+    let mut codes = vec![0i16; m * n];
+    let (acc_saturations, out_saturations) = match act {
+        Activation::Identity => {
+            stream_gemm(path, kern, a, b, &mut codes, m, k, n, 1, &dest, &Requant)
+        }
+        Activation::Relu => stream_gemm(
+            path,
+            kern,
+            a,
+            b,
+            &mut codes,
+            m,
+            k,
+            n,
+            1,
+            &dest,
+            &RequantRelu,
+        ),
+    };
+    let report = QMatmulReport {
+        acc_saturations,
+        out_saturations,
+        outputs: (m * n) as u64,
+    };
+    (codes, report)
+}
+
 /// Runs all three kernels on the same raw operands and asserts exact
 /// agreement of codes and reports, at the given pool size.
+///
+/// The fused-ReLU epilogue clamps the clipped 32-bit code at zero *after*
+/// both saturation counters are taken, so under `Relu` codes must be
+/// exactly requant-then-relu and reports must be exactly the plain
+/// kernel's — under the same engineered saturation.
 fn assert_three_way_agreement(a: &QTensor, b: &QTensor, out: QFormat, threads: usize) {
     let prev = parallel::set_num_threads(threads);
     let (c_fast, r_fast) = qmatmul(a, b, out).unwrap();
     let (c_naive, r_naive) = qmatmul_naive(a, b, out).unwrap();
-
-    let (m, k) = (a.shape().dims()[0], a.shape().dims()[1]);
-    let n = b.shape().dims()[1];
-    let (prod_shift, out_shift) = alignment(a.format(), b.format(), out);
-    let mut c_port = vec![0i16; m * n];
-    let r_port = qmatmul_raw_portable(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n,
-        prod_shift,
-        out_shift,
-        &mut c_port,
-    );
-
-    // Fused-ReLU variants: the epilogue clamps the clipped 32-bit code at
-    // zero *after* both saturation counters are taken, so codes must be
-    // exactly requant-then-relu and reports must be exactly the plain
-    // kernel's — under the same engineered saturation.
-    let mut c_relu = vec![0i16; m * n];
-    let r_relu = qmatmul_raw_relu(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n,
-        prod_shift,
-        out_shift,
-        &mut c_relu,
-    );
-    let mut c_relu_port = vec![0i16; m * n];
-    let r_relu_port = qmatmul_raw_relu_portable(
-        a.codes(),
-        b.codes(),
-        m,
-        k,
-        n,
-        prod_shift,
-        out_shift,
-        &mut c_relu_port,
-    );
+    let runs = [Activation::Identity, Activation::Relu].map(|act| {
+        let dispatched = raw_stream(IntAuto, a, b, out, act);
+        let portable = raw_stream(PortableTile::<8, 1>, a, b, out, act);
+        (act, dispatched, portable)
+    });
     parallel::set_num_threads(prev);
 
     assert_eq!(
@@ -85,38 +95,31 @@ fn assert_three_way_agreement(a: &QTensor, b: &QTensor, out: QFormat, threads: u
         "dispatched vs naive codes, {threads} threads"
     );
     assert_eq!(
-        c_fast.codes(),
-        &c_port[..],
-        "dispatched vs portable codes, {threads} threads"
-    );
-    assert_eq!(
         r_fast, r_naive,
         "dispatched vs naive report, {threads} threads"
     );
-    assert_eq!(
-        r_fast, r_port,
-        "dispatched vs portable report, {threads} threads"
-    );
-
-    let want_relu: Vec<i16> = c_naive.codes().iter().map(|&v| v.max(0)).collect();
-    assert_eq!(
-        &c_relu[..],
-        &want_relu[..],
-        "fused relu vs requant-then-relu, {threads} threads"
-    );
-    assert_eq!(
-        &c_relu_port[..],
-        &want_relu[..],
-        "portable fused relu codes, {threads} threads"
-    );
-    assert_eq!(
-        r_relu, r_naive,
-        "fused relu report must equal the plain report, {threads} threads"
-    );
-    assert_eq!(
-        r_relu_port, r_naive,
-        "portable fused relu report, {threads} threads"
-    );
+    for (act, (c_disp, r_disp), (c_port, r_port)) in runs {
+        let want: Vec<i16> = match act {
+            Activation::Identity => c_naive.codes().to_vec(),
+            Activation::Relu => c_naive.codes().iter().map(|&v| v.max(0)).collect(),
+        };
+        assert_eq!(
+            c_disp, want,
+            "dispatched {act:?} vs naive codes, {threads} threads"
+        );
+        assert_eq!(
+            c_port, want,
+            "portable {act:?} vs naive codes, {threads} threads"
+        );
+        assert_eq!(
+            r_disp, r_naive,
+            "dispatched {act:?} report must equal the plain report, {threads} threads"
+        );
+        assert_eq!(
+            r_port, r_naive,
+            "portable {act:?} report must equal the plain report, {threads} threads"
+        );
+    }
 }
 
 /// Deterministic saturation smoke test: an all-max-code product long
