@@ -16,7 +16,7 @@ use std::path::Path;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tie_bench::measure::best_of;
+use tie_bench::measure::{best_of, host_note};
 use tie_bench::report::{fnum, Report};
 use tie_core::{Activation, CompactEngine};
 use tie_sim::{QuantConfig, QuantizedEngine};
@@ -304,6 +304,7 @@ fn write_json(
         "blocked kernel dispatches at runtime to AVX-512/AVX/portable \
          instantiations of one generic body; all paths bit-match matmul_naive",
     );
+    report.note(host_note());
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     report.save_json(&root).expect("write BENCH_kernels.json");
     println!("{report}");

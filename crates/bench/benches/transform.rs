@@ -22,7 +22,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use tie_bench::measure::median_secs;
+use tie_bench::measure::{host_note, median_secs};
 use tie_bench::report::{fnum, Report};
 use tie_core::CompactEngine;
 use tie_tt::TtMatrix;
@@ -159,6 +159,7 @@ fn write_json() {
          permutation with no producing GEMM to fuse into) — the reduction \
          factor is the permutation traffic the fused write epilogue elides",
     );
+    report.note(host_note());
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     report.save_json(&root).expect("write BENCH_transform.json");
     println!("{report}");

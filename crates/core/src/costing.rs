@@ -53,12 +53,15 @@ impl CostModel {
     /// Cycles of one stage at batch width `b`:
     /// `ceil(R_h/N_MAC) · ceil(C_h·b/N_PE) · (W_h + overhead)` where
     /// `R_h × W_h` is the unfolded core and `C_h` the per-sample `V`
-    /// column count.
+    /// column count. Saturates at `u64::MAX` for a batch too wide to
+    /// count: the product is formed in `u128` (the column count
+    /// `C_h·b` is exact there) and clamped.
     #[must_use]
     pub fn batched_stage_cycles(&self, stage: &StagePlan, b: usize) -> u64 {
-        let passes = (stage.gtilde_rows.div_ceil(self.n_mac)
-            * (stage.v_cols * b).div_ceil(self.n_pe)) as u64;
-        passes * (stage.gtilde_cols as u64 + self.pass_overhead_cycles)
+        let col_passes = (stage.v_cols as u128 * b as u128).div_ceil(self.n_pe as u128);
+        let passes = (stage.gtilde_rows.div_ceil(self.n_mac) as u128).saturating_mul(col_passes);
+        let per_pass = stage.gtilde_cols as u128 + u128::from(self.pass_overhead_cycles);
+        u64::try_from(passes.saturating_mul(per_pass)).unwrap_or(u64::MAX)
     }
 
     /// Per-stage cycles of a whole plan at batch width `b`, in execution
@@ -73,10 +76,10 @@ impl CostModel {
 
     /// Total sequential cycles of one batch-`b` pass (the
     /// `predict_cycles` figure; `b = 1` is the classic single-sample
-    /// prediction).
+    /// prediction). Saturates at `u64::MAX`.
     #[must_use]
     pub fn total_cycles(&self, plan: &InferencePlan, b: usize) -> u64 {
-        self.stage_cycles(plan, b).iter().sum()
+        saturating_sum(&self.stage_cycles(plan, b))
     }
 
     /// Cycles of one batch-`b` pass executed as a stage pipeline of the
@@ -84,7 +87,8 @@ impl CostModel {
     /// `chunks` micro-batch chunks: fill latency (one chunk crossing
     /// every pipeline stage) plus steady-state drain at the bottleneck
     /// segment's rate — the same closed form as
-    /// `RunStats::pipelined_cycles`, evaluated analytically.
+    /// `RunStats::pipelined_cycles`, evaluated analytically. A saturated
+    /// sequential total saturates the result too.
     #[must_use]
     pub fn pipelined_cycles(
         &self,
@@ -94,7 +98,7 @@ impl CostModel {
         chunks: u64,
     ) -> u64 {
         let total = self.total_cycles(plan, b);
-        if chunks <= 1 || depth <= 1 {
+        if chunks <= 1 || depth <= 1 || total == u64::MAX {
             return total;
         }
         let stage_cycles = self.stage_cycles(plan, b);
@@ -102,10 +106,12 @@ impl CostModel {
         let bottleneck = cut
             .runs()
             .iter()
-            .map(|r| stage_cycles[r.lo..r.hi].iter().sum::<u64>())
+            .map(|r| saturating_sum(&stage_cycles[r.lo..r.hi]))
             .max()
             .unwrap_or(0);
-        (total + (chunks - 1) * bottleneck).div_ceil(chunks)
+        // Exact in u128: (2^64 − 1) + (2^64 − 2)·(2^64 − 1) < 2^128.
+        let drained = u128::from(total) + u128::from(chunks - 1) * u128::from(bottleneck);
+        u64::try_from(drained.div_ceil(u128::from(chunks))).unwrap_or(u64::MAX)
     }
 
     /// Modeled cycles **per sample** of the deployment knobs the
@@ -126,6 +132,11 @@ impl CostModel {
         let chunks = b.div_ceil(micro.max(1)) as u64;
         self.pipelined_cycles(plan, depth, b, chunks) as f64 / b as f64
     }
+}
+
+/// Sum of cycle counts, saturating at `u64::MAX`.
+fn saturating_sum(cycles: &[u64]) -> u64 {
+    cycles.iter().fold(0, |acc, &c| acc.saturating_add(c))
 }
 
 #[cfg(test)]
@@ -187,6 +198,22 @@ mod tests {
             .max()
             .unwrap();
         assert!(p16 >= bottleneck);
+    }
+
+    #[test]
+    fn batch_too_wide_to_count_saturates() {
+        let plan = fc7_plan();
+        let m = CostModel::default();
+        let b = usize::MAX / 2;
+        for stage in plan.stages() {
+            assert_eq!(m.batched_stage_cycles(stage, b), u64::MAX);
+        }
+        assert_eq!(m.total_cycles(&plan, b), u64::MAX);
+        assert_eq!(m.pipelined_cycles(&plan, 4, b, 16), u64::MAX);
+        assert_eq!(
+            m.cycles_per_sample(&plan, b, 4, 16),
+            u64::MAX as f64 / b as f64
+        );
     }
 
     #[test]

@@ -90,6 +90,18 @@ echo "== tier-2: fused FC7 batch budget (${TIE_TRANSFORM_BUDGET_S}s), default th
 cargo test -q --release --test indexmap_fused \
   "${CARGO_FLAGS[@]}" fused_fc7_batch16_meets_wall_clock_budget -- --ignored
 
+# Fused-vs-gather ratio gate (DESIGN.md §16): on every Table 4 layer at
+# batch 16 the median fused float batch must not be slower than the median
+# gather-oracle batch, timed interleaved in one process. Catches a stage
+# GEMM that stops vectorizing, which the absolute budget above cannot.
+# Needs --release; both thread settings.
+echo "== tier-2: fused vs gather-oracle ratio gate, TIE_THREADS=1 =="
+TIE_THREADS=1 cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" fused_float_is_no_slower_than_gather_oracle_on_table4_batch16 -- --ignored
+echo "== tier-2: fused vs gather-oracle ratio gate, default thread count =="
+cargo test -q --release --test indexmap_fused \
+  "${CARGO_FLAGS[@]}" fused_float_is_no_slower_than_gather_oracle_on_table4_batch16 -- --ignored
+
 # Autotuner determinism + budget gate (autotune PR, DESIGN.md §17): the
 # pinned LSTM-UCF11/LSTM-Youtube searches must reproduce the committed
 # golden tuned-plan fixtures byte-for-byte at both thread settings (the

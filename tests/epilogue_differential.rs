@@ -11,7 +11,9 @@
 //!   × pool {1, 8};
 //! * quantized: {dispatched `IntAuto`, forced-portable} × {Requant,
 //!   RequantRelu} × {row-major, permuted `DestMap`} × pool {1, 8}, with
-//!   saturation reports compared exactly.
+//!   saturation reports compared exactly;
+//! * both lattices again at pool {1, 2} with batch widths up to the
+//!   engines' 16 and on skinny Table-4-like stage shapes.
 //!
 //! The dispatched mapped cases go through the public stage-GEMM entries
 //! (`gemm_into_mapped`, `qmatmul_raw_mapped`), which pick the epilogue
@@ -51,6 +53,16 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (4, 6, 33), // one past a full 32-lane tile
     (7, 11, 17),
 ];
+
+/// Skinny Table-4-like stage shapes: 16 rows (four 4-row register tiles),
+/// a row count that is not a multiple of 4, and column counts that leave
+/// a ragged strip at every lane width.
+const SKINNY_SHAPES: &[(usize, usize, usize)] = &[(16, 4, 65), (18, 80, 37), (16, 28, 33)];
+
+/// Batch widths: the existing `{1, 3}`, one (5) that divides no tile
+/// width, so a run of one column's samples straddles two tiles, and the
+/// engines' serving batch (16).
+const BATCHES: [usize; 4] = [1, 3, 5, 16];
 
 /// A deterministic permuted `DestMap`: rows reversed, columns rotated.
 /// Separable, bijective, and different from identity whenever the output
@@ -212,6 +224,19 @@ fn float_kernel_epilogue_dest_lattice_matches_oracle_at_pool_1_and_8() {
     }
 }
 
+#[test]
+fn float_lattice_at_engine_batches_and_skinny_shapes_matches_oracle_at_pool_1_and_2() {
+    for (threads, seed) in [(1usize, 0x71u64), (2, 0x72)] {
+        let prev = parallel::set_num_threads(threads);
+        for (si, &(m, k, n_mat)) in SHAPES.iter().chain(SKINNY_SHAPES).enumerate() {
+            for bsz in BATCHES {
+                float_lattice(m, k, n_mat, bsz, seed + si as u64 * 31 + bsz as u64);
+            }
+        }
+        parallel::set_num_threads(prev);
+    }
+}
+
 /// Heavy-tailed random codes: ~1/4 pinned at ±`i16::MAX` so both
 /// saturation paths fire regularly (same generator family as
 /// `tests/quant_kernels.rs`).
@@ -249,31 +274,44 @@ fn quant_stream<K: TileKernel, D: Dest>(
     a: &[i16],
     b: &[i16],
     codes: &mut [i16],
-    (m, k, n_mat): (usize, usize, usize),
+    (m, k, n_mat, bsz): (usize, usize, usize, usize),
     (prod_shift, out_shift): (u32, u32),
     act: Activation,
 ) -> QMatmulReport {
     let path = QuantPath::new(prod_shift, out_shift);
     let (acc_saturations, out_saturations) = match act {
         Activation::Identity => {
-            stream_gemm(path, kern, a, b, codes, m, k, n_mat, 1, dest, &Requant)
+            stream_gemm(path, kern, a, b, codes, m, k, n_mat, bsz, dest, &Requant)
         }
-        Activation::Relu => {
-            stream_gemm(path, kern, a, b, codes, m, k, n_mat, 1, dest, &RequantRelu)
-        }
+        Activation::Relu => stream_gemm(
+            path,
+            kern,
+            a,
+            b,
+            codes,
+            m,
+            k,
+            n_mat,
+            bsz,
+            dest,
+            &RequantRelu,
+        ),
     };
     QMatmulReport {
         acc_saturations,
         out_saturations,
-        outputs: (m * n_mat) as u64,
+        outputs: (m * n_mat * bsz) as u64,
     }
 }
 
-/// Quantized lattice for one shape at the current pool size: dispatched
-/// and forced-portable kernels × {Requant, RequantRelu} × {row-major,
-/// permuted map} against naive-then-scatter-then-relu, codes and reports
-/// exact.
-fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
+/// Quantized lattice for one shape and batch width at the current pool
+/// size: dispatched and forced-portable kernels × {Requant, RequantRelu}
+/// × {row-major, permuted map} against naive-then-scatter-then-relu,
+/// codes and reports exact. The naive oracle sees the batch as `bsz`
+/// extra columns per logical column, the layout the streaming stage
+/// reads.
+fn quant_lattice(m: usize, k: usize, n_mat: usize, bsz: usize, seed: u64) {
+    let n = n_mat * bsz;
     let a = QTensor::from_codes(
         vec![m, k],
         heavy_codes(m * k, seed),
@@ -281,8 +319,8 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     )
     .unwrap();
     let b = QTensor::from_codes(
-        vec![k, n_mat],
-        heavy_codes(k * n_mat, seed ^ 0xabcd),
+        vec![k, n],
+        heavy_codes(k * n, seed ^ 0xabcd),
         QFormat::new(8).unwrap(),
     )
     .unwrap();
@@ -296,24 +334,26 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
     let (c_naive, r_naive) = qmatmul_naive(&a, &b, out).unwrap();
     let map = permuted_map(m, n_mat);
     let scatter = |codes: &[i16]| -> Vec<i16> {
-        let mut s = vec![0i16; m * n_mat];
+        let mut s = vec![0i16; m * n];
         for i in 0..m {
             for q in 0..n_mat {
-                s[map.offset(i, q)] = codes[i * n_mat + q];
+                for cb in 0..bsz {
+                    s[map.offset(i, q) * bsz + cb] = codes[i * n + q * bsz + cb];
+                }
             }
         }
         s
     };
     let (a, b) = (a.codes(), b.codes());
-    let dims = (m, k, n_mat);
+    let dims = (m, k, n_mat, bsz);
 
     // Row-major plain through the public raw entry.
-    let mut got = vec![0i16; m * n_mat];
-    let r = qmatmul_raw(a, b, m, k, n_mat, prod_shift, out_shift, &mut got);
+    let mut got = vec![0i16; m * n];
+    let r = qmatmul_raw(a, b, m, k, n, prod_shift, out_shift, &mut got);
     assert_eq!(
         &got[..],
         c_naive.codes(),
-        "raw vs naive codes ({m}x{k}x{n_mat})"
+        "raw vs naive codes ({m}x{k}x{n_mat}, bsz {bsz})"
     );
     assert_eq!(r, r_naive, "raw vs naive report");
 
@@ -339,7 +379,7 @@ fn quant_lattice(m: usize, k: usize, n_mat: usize, seed: u64) {
 
         // Mapped (permuted): the public entry, and forced-portable.
         let r = qmatmul_raw_mapped(
-            a, b, m, k, n_mat, 1, prod_shift, out_shift, &mut got, &map, act,
+            a, b, m, k, n_mat, bsz, prod_shift, out_shift, &mut got, &map, act,
         );
         assert_eq!(got, want_map, "mapped {act:?} vs naive-then-scatter codes");
         assert_eq!(r, r_naive, "mapped {act:?} report");
@@ -354,7 +394,7 @@ fn quant_kernel_epilogue_dest_lattice_matches_oracle_at_pool_1_and_8() {
     for (threads, seed) in [(1usize, 0x61u64), (8, 0x62)] {
         let prev = parallel::set_num_threads(threads);
         for (si, &(m, k, n_mat)) in SHAPES.iter().enumerate() {
-            quant_lattice(m, k, n_mat, seed + si as u64 * 37);
+            quant_lattice(m, k, n_mat, 1, seed + si as u64 * 37);
         }
         parallel::set_num_threads(prev);
     }
@@ -377,4 +417,17 @@ fn quant_kernel_epilogue_dest_lattice_matches_oracle_at_pool_1_and_8() {
         report.acc_saturations > 0 && report.out_saturations > 0,
         "generator must saturate both paths: {report:?}"
     );
+}
+
+#[test]
+fn quant_lattice_at_engine_batches_and_skinny_shapes_matches_oracle_at_pool_1_and_2() {
+    for (threads, seed) in [(1usize, 0x81u64), (2, 0x82)] {
+        let prev = parallel::set_num_threads(threads);
+        for (si, &(m, k, n_mat)) in SHAPES.iter().chain(SKINNY_SHAPES).enumerate() {
+            for bsz in BATCHES {
+                quant_lattice(m, k, n_mat, bsz, seed + si as u64 * 37 + bsz as u64);
+            }
+        }
+        parallel::set_num_threads(prev);
+    }
 }
