@@ -23,7 +23,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tie_bench::measure::median_secs;
+use tie_bench::measure::{host_note, median_secs};
 use tie_bench::report::{fnum, Report};
 use tie_quant::{qmatmul, qmatmul_naive, QFormat, QTensor};
 use tie_sim::{TieAccelerator, TieConfig};
@@ -198,6 +198,7 @@ fn write_json() {
          GEMM per batch); both calibrate once at load time and produce \
          identical RunStats activity counts (differential suite)",
     );
+    report.note(host_note());
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     report.save_json(&root).expect("write BENCH_quant.json");
     println!("{report}");

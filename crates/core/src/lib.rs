@@ -81,6 +81,7 @@ pub mod indexmap;
 pub mod pipeline;
 pub mod plan;
 pub mod scheme;
+pub mod scratch;
 pub mod transform;
 
 pub use costing::CostModel;

@@ -20,8 +20,8 @@
 
 use crate::accelerator::{probe_maxima, probe_vectors};
 use crate::config::QuantConfig;
-use std::sync::Mutex;
 use tie_core::indexmap::{assemble_dest_map, prepare_copy_plan, stage_dest_map, CopyPlan};
+use tie_core::scratch::with_thread_scratch;
 use tie_core::{Activation, CompactEngine, InferencePlan};
 use tie_quant::{qmatmul_raw_mapped, QFormat, QMatmulReport, QTensor};
 use tie_tensor::linalg::DestMap;
@@ -49,7 +49,7 @@ use tie_tt::{TtMatrix, TtShape};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QuantizedEngine {
     shape: TtShape,
     plan: InferencePlan,
@@ -66,36 +66,20 @@ pub struct QuantizedEngine {
     dest_maps: Vec<DestMap>,
     /// Minimal block-copy plan for the input layout (Eqn. (8)).
     prep_plan: CopyPlan,
-    /// Ping-pong code scratch, grown on demand and reused across calls.
-    workspace: Mutex<QWorkspace>,
 }
 
-/// Reusable i16 scratch for the stage pipeline (the two working SRAMs).
+/// Reusable i16 scratch for the stage pipeline (the two working SRAMs),
+/// owned by the calling thread ([`tie_core::scratch`]) like the float
+/// engine's.
 #[derive(Debug, Default)]
 struct QWorkspace {
     ping: Vec<i16>,
     pong: Vec<i16>,
 }
 
-impl Clone for QuantizedEngine {
-    fn clone(&self) -> Self {
-        QuantizedEngine {
-            shape: self.shape.clone(),
-            plan: self.plan.clone(),
-            cores: self.cores.clone(),
-            input_format: self.input_format,
-            stage_formats: self.stage_formats.clone(),
-            dest_maps: self.dest_maps.clone(),
-            prep_plan: self.prep_plan.clone(),
-            // Scratch is per-engine state, not semantic state.
-            workspace: Mutex::new(QWorkspace::default()),
-        }
-    }
-}
-
 /// Compile-time audit: the serving layer shares the engine across worker
-/// threads behind `Arc`; all state is immutable after construction except
-/// the `Mutex`-guarded scratch.
+/// threads behind `Arc`; all state is immutable after construction (the
+/// scratch belongs to the calling thread).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     let _ = assert_send_sync::<QuantizedEngine>;
@@ -183,7 +167,6 @@ impl QuantizedEngine {
             stage_formats,
             dest_maps,
             prep_plan,
-            workspace: Mutex::new(QWorkspace::default()),
         })
     }
 
@@ -283,7 +266,7 @@ impl QuantizedEngine {
     /// calibrated input format, the `d` stages run as single quantized
     /// GEMMs over the whole batch, and outputs are dequantized from the
     /// final stage format. Steady-state the call performs **no heap
-    /// allocation** (ping-pong scratch grown once).
+    /// allocation** (the calling thread's ping-pong scratch, grown once).
     ///
     /// Returns the merged saturation report across all stages — the
     /// serving layer surfaces these counters in its stats.
@@ -307,16 +290,26 @@ impl QuantizedEngine {
                 right: vec![m * b],
             });
         }
-        let mut report = QMatmulReport::default();
         if b == 0 {
-            return Ok(report);
+            return Ok(QMatmulReport::default());
         }
+        Ok(with_thread_scratch(|ws: &mut QWorkspace| {
+            self.run_stages(ws, xs, b, ys)
+        }))
+    }
+
+    /// The stage chain of [`Self::matvec_batch_into`] (shapes already
+    /// checked, `b ≥ 1`) on the calling thread's scratch.
+    fn run_stages(
+        &self,
+        ws: &mut QWorkspace,
+        xs: &[f64],
+        b: usize,
+        ys: &mut [f64],
+    ) -> QMatmulReport {
+        let m = self.shape.num_rows();
         let d = self.shape.ndim();
-        let mut guard = self
-            .workspace
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ws = &mut *guard;
+        let mut report = QMatmulReport::default();
         // Each buffer only ever holds a stage input, except that the final
         // stage parks its assembled codes (`M·b`) before the contiguous
         // dequantize — hence the `max(…, m)` term.
@@ -373,7 +366,7 @@ impl QuantizedEngine {
         for (y, &code) in ys.iter_mut().zip(cur[..m * b].iter()) {
             *y = in_format.dequantize(code);
         }
-        Ok(report)
+        report
     }
 }
 
